@@ -26,7 +26,6 @@ from .model import (
     step,
 )
 from .spectral import (
-    ConvergenceError,
     PerronData,
     StageMatrixDecomposition,
     build_B,
@@ -52,7 +51,6 @@ from .prevalence import (
     initial_rise_predicate_general,
     is_rise_then_fall,
     outbreak_predicate_lastclass,
-    prevalence_series,
     monotone_decay_ratio_check,
     threshold_decay_predicate,
 )
@@ -73,14 +71,14 @@ __all__ = [
     "IncidenceModel", "LastClassIncidence", "LinearIncidence",
     "SplitExponentialIncidence", "validate_regularity",
     "EpidemicState", "StageParams", "StoppingRule", "Trajectory", "simulate", "step",
-    "ConvergenceError", "PerronData", "StageMatrixDecomposition", "build_B",
+    "PerronData", "StageMatrixDecomposition", "build_B",
     "delta", "nrv", "perron",
     "r0", "sign_identities_check",
     "FinalSizeBounds", "FinalSizeResult", "final_size_bounds",
     "final_size_equation_solve", "final_size_simulate", "limit_direction",
     "monotonicity_onset", "tail_sum_check",
     "PrevalenceShape", "classify_shape", "initial_rise_predicate_general",
-    "is_rise_then_fall", "outbreak_predicate_lastclass", "prevalence_series",
+    "is_rise_then_fall", "outbreak_predicate_lastclass",
     "monotone_decay_ratio_check", "threshold_decay_predicate",
     "ComposedIncidence", "ContactDistribution", "PoissonContactIncidence",
     "compose_incidence", "poisson_incidence", "r0_with_contacts",

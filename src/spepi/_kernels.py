@@ -1,8 +1,8 @@
 """Hot stepping kernels: numba-compiled with a plain-Python twin.
 
 The same source is used for both paths; ``SPEPI_DISABLE_NUMBA=1`` (or a
-failed numba import) selects the uncompiled twin.  ``benchmarks/`` times
-the two against each other.
+failed numba import) selects the uncompiled twin.  The ``deep-trajectory``
+workload of ``perfbench/`` times the two against each other.
 
 Incidence encoding shared with :meth:`IncidenceModel.kernel_spec`:
 

@@ -36,7 +36,6 @@ __all__ = [
     "RisePrediction",
     "ThresholdDecayResult",
     "LastClassOutbreakResult",
-    "prevalence_series",
     "initial_rise_predicate_general",
     "threshold_decay_predicate",
     "outbreak_predicate_lastclass",
@@ -47,11 +46,6 @@ __all__ = [
 
 RATIO_GRID_POINTS = 10**4
 RATIO_SLACK_REL = 1e-12  # forgives fp dust at exact-equality boundaries
-
-
-def prevalence_series(trajectory: Trajectory) -> np.ndarray:
-    """Z(t) = ||I(t)||_1 for every recorded step."""
-    return trajectory.Z
 
 
 @dataclass(frozen=True)

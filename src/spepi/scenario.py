@@ -359,9 +359,3 @@ def figure_scenarios() -> dict:
         out[name] = scenario_from_dict(_parse_ini(text, f"{name}.ini"))
     return out
 
-
-def bundled_scenario_path(name: str):
-    """Filesystem-independent handle to a bundled scenario (for copying)."""
-    if name not in FIGURE_SCENARIO_NAMES:
-        raise KeyError(name)
-    return resources.files("spepi").joinpath("scenarios", f"{name}.ini")

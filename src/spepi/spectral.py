@@ -28,7 +28,6 @@ from .model import StageParams
 __all__ = [
     "StageMatrixDecomposition",
     "PerronData",
-    "ConvergenceError",
     "SignIdentityReport",
     "transition_matrix",
     "infection_matrix",
@@ -40,12 +39,7 @@ __all__ = [
     "sign_identities_check",
 ]
 
-POWER_ITERATION_CAP = 10**5
 SIGN_ZERO_TOL = 1e-9  # |x| below this counts as zero in threshold sign tests
-
-
-class ConvergenceError(RuntimeError):
-    """Power iteration failed to converge within the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,8 @@ class StageMatrixDecomposition:
 
 @dataclass(frozen=True)
 class PerronData:
-    """Spectral radius and the probability-normalized Perron vector."""
+    """Spectral radius, the probability-normalized Perron vector, and the
+    number of bisection halvings that located the root."""
 
     rho: float
     v: np.ndarray
@@ -115,27 +110,19 @@ def build_B(a: float, params: StageParams, r) -> StageMatrixDecomposition:
 
 
 def nrv(decomp: StageMatrixDecomposition) -> float:
-    """Net reproductive value: spectral radius of F (Id - T)^{-1}.
+    """Net reproductive value: spectral radius of Q = F (Id - T)^{-1}.
 
-    (Id - T)^{-1} is computed by forward substitution on the bidiagonal
-    structure (row j: g_j x_j - g_{j-1} x_{j-1} = b_j), then the spectral
-    radius of the resulting rank-one product is read off numerically.
+    Only the first row of Q is nonzero, so its spectral radius is
+    Q_11 = a r.x with (Id - T) x = e_1, which forward substitution on the
+    bidiagonal structure solves (row j: g_j x_j = g_{j-1} x_{j-1}).
     Equals a * delta in exact arithmetic.
     """
     gamma = decomp.gamma
-    n = gamma.size
-    M = np.empty((n, n))
-    for col in range(n):
-        for row in range(n):
-            if row < col:
-                M[row, col] = 0.0
-            elif row == col:
-                M[row, col] = 1.0 / gamma[row]
-            else:
-                M[row, col] = gamma[row - 1] * M[row - 1, col] / gamma[row]
-    Q = decomp.F @ M
-    eigs = np.linalg.eigvals(Q)
-    return float(np.max(np.abs(eigs)))
+    x = np.empty(gamma.size)
+    x[0] = 1.0 / gamma[0]
+    for j in range(1, gamma.size):
+        x[j] = gamma[j - 1] * x[j - 1] / gamma[j]
+    return float(decomp.F[0] @ x)
 
 
 def delta(params: StageParams, incidence: IncidenceModel) -> float:
@@ -156,34 +143,45 @@ def r0(params: StageParams, incidence: IncidenceModel) -> float:
     return params.N * delta(params, incidence)
 
 
-def perron(decomp: StageMatrixDecomposition, tol: float = 1e-13) -> PerronData:
-    """Spectral radius and Perron vector of B(a) by power iteration.
+def perron(decomp: StageMatrixDecomposition) -> PerronData:
+    """Spectral radius and Perron vector of B(a) from its characteristic equation.
 
-    Iterates x -> B x with 1-norm normalization from the uniform start
-    vector until successive iterates differ by less than ``tol`` in the
-    max norm.  B(a) is primitive, so convergence is guaranteed; the cap
-    of 1e5 iterations raises :class:`ConvergenceError` as a safeguard.
+    Rows 2..n of B v = lam v give v_{j+1} = g_j v_j / (lam - 1 + g_{j+1})
+    from v_1 = 1, and row 1 then reads a r.v(lam) = lam - 1 + g_1.  On
+    lam > max_k(1 - g_k) the left side strictly decreases and the right
+    side increases, so the Perron root is the only solution there; it is
+    at most the largest column sum 1 + a max(r).  Bisection of that
+    bracket stops when the midpoint equals an endpoint, after about 53
+    halvings.  Near the low end v can overflow; the inf or NaN this gives
+    fails the comparison and so counts as lam below the root.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    B = decomp.B
-    n = B.shape[0]
-    v = np.full(n, 1.0 / n)
-    rho = 1.0
-    for k in range(1, POWER_ITERATION_CAP + 1):
-        w = B @ v
-        rho = float(w.sum())  # v >= 0 and ||v||_1 = 1, so this is ||Bv||_1
-        w /= rho
-        if float(np.max(np.abs(w - v))) < tol:
-            return PerronData(rho=rho, v=w, iterations=k)
-        v = w
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol:g} in {POWER_ITERATION_CAP} iterations"
-    )
+    gamma = decomp.gamma.tolist()
+    ar = (decomp.a * decomp.r).tolist()
+    d = [1.0 - g for g in gamma]
+
+    def shape(lam):
+        v = [1.0]
+        for j in range(1, len(d)):
+            v.append(gamma[j - 1] * v[-1] / (lam - d[j]))
+        return v
+
+    lo, hi = max(d), 1.0 + max(ar)
+    halvings = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        halvings += 1
+        if sum(x * y for x, y in zip(ar, shape(mid))) <= mid - d[0]:
+            hi = mid
+        else:
+            lo = mid
+    v = np.array(shape(hi))
+    return PerronData(rho=hi, v=v / v.sum(), iterations=halvings)
 
 
-def _sign(x: float, zero_tol: float = SIGN_ZERO_TOL) -> int:
-    if abs(x) < zero_tol:
+def _sign(x: float) -> int:
+    if abs(x) < SIGN_ZERO_TOL:
         return 0
     return 1 if x > 0.0 else -1
 

@@ -159,6 +159,30 @@ R = 0.0
     assert rep["lower_bound"].startswith("n/a")
 
 
+def test_analyze_near_cyclic_scenario(tmp_path, capsys):
+    # ten stages at gamma = 0.9999 leave B(S_inf) almost cyclic: its spectral
+    # gap nearly vanishes, yet the Perron root must still match eigvals
+    scenario = tmp_path / "near-cyclic.ini"
+    scenario.write_text(f"""
+[params]
+gamma = {", ".join(["0.9999"] * 10)}
+N = 1.0
+[incidence]
+family = last-class-linear
+n = 10
+beta = 1.0
+[initial]
+S = 0.99
+I = {", ".join(["0.0"] * 9)}, 0.01
+R = 0.0
+""", encoding="utf-8")
+    rep = _analyze_dict(capsys, "--scenario", str(scenario))
+    B = (np.diag(np.full(10, 1.0 - 0.9999)) + np.diag(np.full(9, 0.9999), -1))
+    B[0, -1] += float(rep["S_inf_simulated"])
+    rho = np.max(np.abs(np.linalg.eigvals(B)))
+    assert float(rep["perron_rho"]) == pytest.approx(rho, rel=1e-13)
+
+
 def test_sweep_beta3_monotone_r0(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main([

@@ -17,7 +17,6 @@ from spepi import (
     initial_rise_predicate_general,
     is_rise_then_fall,
     outbreak_predicate_lastclass,
-    prevalence_series,
     monotone_decay_ratio_check,
     simulate,
     step,
@@ -35,7 +34,7 @@ def test_prevalence_balance_identity(seed):
     params, inc = random_model(rng)
     traj = simulate(random_initial(rng, params), params, inc,
                     StoppingRule(max_steps=200))
-    Z = prevalence_series(traj)
+    Z = traj.Z
     gn = params.gamma[-1]
     for t in range(min(traj.n_steps, 50)):
         balance = traj.S[t] * traj.phi[t] - gn * traj.I[t, -1]
@@ -45,13 +44,13 @@ def test_prevalence_balance_identity(seed):
 def test_prevalence_series_values(figures):
     sc = figures["fig2-left"]
     traj = simulate(sc.initial, sc.params, sc.incidence, sc.stopping)
-    Z = prevalence_series(traj)
+    Z = traj.Z
     assert np.any(np.diff(Z) > 0.0)  # a strict rise despite subcritical R0
 
     params = StageParams(gamma=[0.5], N=1.0)
     inc = ExponentialIncidence([0.4], N=1.0)
     flat = simulate(EpidemicState(S=1.0, I=[0.0], R=0.0), params, inc)
-    np.testing.assert_array_equal(prevalence_series(flat), [0.0])
+    np.testing.assert_array_equal(flat.Z, [0.0])
 
 
 def test_initial_rise_predicate_fig2_left(figures):

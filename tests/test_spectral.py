@@ -9,6 +9,7 @@ import pytest
 
 from spepi import (
     ExponentialIncidence,
+    StageMatrixDecomposition,
     StageParams,
     build_B,
     nrv,
@@ -116,6 +117,37 @@ def test_perron_two_stage_quadratic_oracle():
     assert np.all(pd.v > 0.0) and pd.v.sum() == pytest.approx(1.0, rel=1e-14)
 
 
+@pytest.mark.parametrize("g, n", [(0.999, 5), (0.9999, 10), (0.99999, 20),
+                                  (0.5, 200), (0.999, 200)])
+def test_perron_near_cyclic_stage_matrix(g, n):
+    # equal gammas near 1 with infection from the last stage only make B
+    # nearly cyclic, so its spectral gap all but vanishes
+    params = StageParams(gamma=np.full(n, g), N=1.0)
+    d = build_B(1.0, params, np.eye(n)[-1])
+    pd = perron(d)
+    assert pd.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(d.B))), rel=1e-13)
+    assert np.max(np.abs(d.B @ pd.v - pd.rho * pd.v)) <= 1e-13 * pd.rho
+    assert np.all(pd.v > 0.0) and pd.v.sum() == pytest.approx(1.0, rel=1e-14)
+
+
+def test_perron_when_the_stage_shape_overflows():
+    # with n = 2500 equal gammas, v(lam) overflows at bisection points below
+    # the root; (lam - 1 + g)^n = g^(n-1) gives the root in closed form.
+    # perron reads only a, gamma and r, so the 2500 x 2500 matrices are
+    # left out and B v is formed from the bidiagonal structure.
+    n, g = 2500, 0.5
+    none = np.empty((0, 0))
+    d = StageMatrixDecomposition(a=1.0, T=none, F=none, B=none,
+                                 gamma=np.full(n, g), r=np.eye(1, n, n - 1)[0])
+    pd = perron(d)
+    assert pd.rho == pytest.approx(1.0 - g + g ** ((n - 1) / n), rel=1e-13)
+    Bv = (1.0 - g) * pd.v
+    Bv[1:] += g * pd.v[:-1]
+    Bv[0] += pd.v[-1]
+    assert np.max(np.abs(Bv - pd.rho * pd.v)) <= 1e-13 * pd.rho
+    assert np.all(pd.v > 0.0) and pd.v.sum() == pytest.approx(1.0, rel=1e-14)
+
+
 def _draw_decomposition(rng, threshold=False):
     n = int(rng.integers(1, 9))
     gamma = draw_gammas(rng, n, lo=0.05, hi=0.95, min_sep=0.02)
@@ -148,6 +180,7 @@ def test_threshold_equivalence_and_sign_identities_over_draws():
         d, dlt = _draw_decomposition(rng, threshold=(k % 10 == 0))
         pd = perron(d)
         assert np.max(np.abs(d.B @ pd.v - pd.rho * pd.v)) <= 1e-10 * pd.rho
+        assert pd.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(d.B))), rel=1e-13)
         rep = sign_identities_check(d, pd)
         assert rep.consistent, (k, rep.mismatches)
         # threshold equivalence sign(rho - 1) = sign(a - 1/delta)
@@ -167,24 +200,6 @@ def test_chain_identity_links_consecutive_stages():
         for j in range(1, g.size):
             lhs = g[j - 1] * v[j - 1] - g[j] * v[j]
             assert lhs == pytest.approx((pd.rho - 1.0) * v[j], abs=1e-9)
-
-
-def test_perron_iteration_cap_raises():
-    # a period-2 permutation matrix never settles: the cap must trip
-    # (unreachable through build_B, whose diagonals are positive)
-    from spepi import ConvergenceError
-    from spepi.spectral import StageMatrixDecomposition
-
-    d = StageMatrixDecomposition(
-        a=1.0,
-        T=np.zeros((2, 2)),
-        F=np.zeros((2, 2)),
-        B=np.array([[0.0, 2.0], [1.0, 0.0]]),  # eigenvalues +-sqrt(2)
-        gamma=np.array([0.5, 0.5]),
-        r=np.array([0.0, 1.0]),
-    )
-    with pytest.raises(ConvergenceError):
-        perron(d)
 
 
 def test_sign_identities_directions():

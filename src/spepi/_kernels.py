@@ -45,22 +45,24 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
     cap = S_out.shape[0]
     row = 0
     conv = False
-
-    if phi_entry >= 0.0:
-        # entry state already recorded: take one step with its known phi
-        inc = phi_entry * S
-        S_new = S - inc
-        R = R + gamma[n - 1] * I[n - 1]
-        for j in range(n - 1, 0, -1):
-            I[j] = (1.0 - gamma[j]) * I[j] + gamma[j - 1] * I[j - 1]
-        I[0] = (1.0 - gamma[0]) * I[0] + inc
-        z = 0.0
-        for j in range(n):
-            z += I[j]
-        conv = (z < eps_z) and ((S - S_new) < eps_s)
-        S = S_new
+    phi = phi_entry
+    advance = phi_entry >= 0.0
 
     while True:
+        if advance:
+            # the current state is recorded with incidence phi: step past it
+            inc = phi * S
+            S_new = S - inc
+            R = R + gamma[n - 1] * I[n - 1]
+            for j in range(n - 1, 0, -1):
+                I[j] = (1.0 - gamma[j]) * I[j] + gamma[j - 1] * I[j - 1]
+            I[0] = (1.0 - gamma[0]) * I[0] + inc
+            z = 0.0
+            for j in range(n):
+                z += I[j]
+            conv = (z < eps_z) and ((S - S_new) < eps_s)
+            S = S_new
+
         # incidence of the current (still unrecorded) state
         if ik == 0:
             pi = 0.0
@@ -97,18 +99,7 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
             return row, CONVERGED, S, R, phi
         if row == cap:
             return row, FULL, S, R, phi
-
-        inc = phi * S
-        S_new = S - inc
-        R = R + gamma[n - 1] * I[n - 1]
-        for j in range(n - 1, 0, -1):
-            I[j] = (1.0 - gamma[j]) * I[j] + gamma[j - 1] * I[j - 1]
-        I[0] = (1.0 - gamma[0]) * I[0] + inc
-        z = 0.0
-        for j in range(n):
-            z += I[j]
-        conv = (z < eps_z) and ((S - S_new) < eps_s)
-        S = S_new
+        advance = True
 
 
 run_chunk_py = _run_chunk_impl

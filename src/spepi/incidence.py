@@ -57,7 +57,8 @@ class DomainError(ValueError):
     """Raised when an infected-stage vector lies outside the admissible set."""
 
 
-def _as_prob_vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
+def _as_vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
+    """``x`` as a read-only nonempty 1-d float copy (of length ``n`` if given)."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
@@ -68,6 +69,20 @@ def _as_prob_vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
     v = v.copy()
     v.flags.writeable = False
     return v
+
+
+def _fd_slope(f, h: float, up_ok: bool, down_ok: bool) -> float:
+    """Slope at 0 of the scalar function ``f`` by second-order differences.
+
+    Central with step h when both f(h) and f(-h) are admissible (``up_ok``,
+    ``down_ok``); otherwise one-sided into the domain, forward when only
+    the upper side is admissible and backward else.
+    """
+    if up_ok and down_ok:
+        return (f(h) - f(-h)) / (2.0 * h)
+    if up_ok:
+        return (-3.0 * f(0.0) + 4.0 * f(h) - f(2 * h)) / (2.0 * h)
+    return (3.0 * f(0.0) - 4.0 * f(-h) + f(-2 * h)) / (2.0 * h)
 
 
 class IncidenceModel:
@@ -101,12 +116,16 @@ class IncidenceModel:
         """Evaluate the infection probability at stage vector ``I``.
 
         Returns exactly 0.0 at I = 0 and a value in [0, 1) elsewhere on
-        the admissible set.  Raises :class:`DomainError` outside it.
+        the admissible set.  Raises :class:`DomainError` outside it, and
+        when the value is NaN or outside [0, 1].
         """
         I = self._check_domain(I)
         if not I.any():
             return 0.0
-        return float(self._phi_raw(I))
+        value = float(self._phi_raw(I))
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"phi = {value!r} lies outside [0, 1]")
+        return value
 
     def grad(self, I) -> np.ndarray:
         """Gradient of phi at ``I`` (componentwise nonnegative)."""
@@ -153,7 +172,7 @@ class ExponentialIncidence(IncidenceModel):
     family = "exponential"
 
     def __init__(self, beta, N: float):
-        self.beta = _as_prob_vector(beta, "beta")
+        self.beta = _as_vector(beta, "beta")
         self.n = self.beta.size
         self.N = float(N)
         if self.N <= 0.0:
@@ -183,7 +202,7 @@ class LinearIncidence(IncidenceModel):
     family = "linear"
 
     def __init__(self, beta, N: float):
-        self.beta = _as_prob_vector(beta, "beta")
+        self.beta = _as_vector(beta, "beta")
         self.n = self.beta.size
         self.N = float(N)
         if self.N <= 0.0:
@@ -221,8 +240,8 @@ class SplitExponentialIncidence(IncidenceModel):
     family = "split-exponential"
 
     def __init__(self, theta, beta, N: float):
-        self.theta = _as_prob_vector(theta, "theta")
-        self.beta = _as_prob_vector(beta, "beta", self.theta.size)
+        self.theta = _as_vector(theta, "theta")
+        self.beta = _as_vector(beta, "beta", self.theta.size)
         self.n = self.beta.size
         self.N = float(N)
         if self.N <= 0.0:
@@ -320,15 +339,7 @@ class LastClassIncidence(IncidenceModel):
 
     def _fd_deriv(self, x: float) -> float:
         h = 1e-6 * self.N
-        if x - h >= 0.0 and x + h <= self.N:
-            return (self._func(x + h) - self._func(x - h)) / (2.0 * h)
-        if x - h < 0.0:  # second-order one-sided at the lower boundary
-            return (
-                -3.0 * self._func(x) + 4.0 * self._func(x + h) - self._func(x + 2 * h)
-            ) / (2.0 * h)
-        return (
-            3.0 * self._func(x) - 4.0 * self._func(x - h) + self._func(x - 2 * h)
-        ) / (2.0 * h)
+        return _fd_slope(lambda s: self._func(x + s), h, x + h <= self.N, x - h >= 0.0)
 
     def _phi_raw(self, I):
         return self.scalar_phi(float(I[-1]))
@@ -382,40 +393,26 @@ class CustomIncidence(IncidenceModel):
         z = float(func(np.zeros(self.n)))
         if abs(z) > 1e-14:
             raise ValueError(f"phi(0) must be 0, got {z:.3e}")
-        r = self.grad_unchecked(np.zeros(self.n))
+        r = self._grad_raw(np.zeros(self.n))
         r.flags.writeable = False
         self.r = r
 
     def _phi_raw(self, I):
         return float(self._func(I))
 
-    def grad_unchecked(self, I: np.ndarray) -> np.ndarray:
+    def _grad_raw(self, I):
         if self._grad is not None:
             return np.asarray(self._grad(I), dtype=float)
         return self._fd_grad(I)
 
-    def _grad_raw(self, I):
-        return self.grad_unchecked(I)
-
     def _fd_grad(self, I: np.ndarray) -> np.ndarray:
         h = 1e-6 * self.N
         g = np.empty(self.n)
-        slack = self.N * (1.0 + U_TOLERANCE) - I.sum()
+        up_ok = self.N * (1.0 + U_TOLERANCE) - I.sum() >= h
         for j in range(self.n):
-            up_ok = slack >= h
-            down_ok = I[j] >= h
             e = np.zeros(self.n)
-            e[j] = h
-            if up_ok and down_ok:
-                g[j] = (self._func(I + e) - self._func(I - e)) / (2.0 * h)
-            elif up_ok:  # one-sided, second order, into the domain
-                g[j] = (
-                    -3.0 * self._func(I) + 4.0 * self._func(I + e) - self._func(I + 2 * e)
-                ) / (2.0 * h)
-            else:
-                g[j] = (
-                    3.0 * self._func(I) - 4.0 * self._func(I - e) + self._func(I - 2 * e)
-                ) / (2.0 * h)
+            e[j] = 1.0
+            g[j] = _fd_slope(lambda s: self._func(I + s * e), h, up_ok, I[j] >= h)
         return g
 
 

@@ -11,22 +11,24 @@ with stage-progression probabilities gj in (0, 1) and an incidence
 function phi from :mod:`spepi.incidence`.  The total population
 S + I1 + ... + In + R is conserved.
 
-``step`` advances one state exactly; ``simulate`` iterates to a stopping
-rule, recording the full trajectory.  Both use the same floating-point
-operation order as the compiled kernel, so ``simulate`` is bit-for-bit
-an iteration of ``step``.
+``simulate`` iterates the map to a stopping rule, recording the full
+trajectory; ``step`` is a one-step ``simulate``.  The update is written
+once in the stepping kernel (:mod:`spepi._kernels`, which serves the
+built-in families) and once in ``_simulate_generic`` (custom callables),
+in the same floating-point operation order, so ``simulate`` is
+bit-for-bit an iteration of ``step`` on either path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .incidence import IncidenceModel
+from .incidence import DomainError, IncidenceModel, _as_vector
 
 __all__ = [
     "StageParams",
@@ -60,15 +62,9 @@ class StageParams:
     N: float
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=float)
-        if g.ndim == 0:
-            g = g.reshape(1)
-        if g.ndim != 1 or g.size < 1:
-            raise ValueError("gamma must be a nonempty 1-d vector")
+        g = _as_vector(self.gamma, "gamma")
         if np.any(g <= 0.0) or np.any(g >= 1.0):
             raise ValueError("every progression probability must lie in (0, 1)")
-        g = g.copy()
-        g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "N", float(self.N))
         if not self.N > 0.0:
@@ -88,13 +84,7 @@ class EpidemicState:
     R: float
 
     def __post_init__(self):
-        I = np.asarray(self.I, dtype=float)
-        if I.ndim == 0:
-            I = I.reshape(1)
-        if I.ndim != 1 or I.size < 1:
-            raise ValueError("I must be a nonempty 1-d vector")
-        I = I.copy()
-        I.flags.writeable = False
+        I = _as_vector(self.I, "I")
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "S", float(self.S))
         object.__setattr__(self, "R", float(self.R))
@@ -183,10 +173,6 @@ class Trajectory:
     def state(self, t: int) -> EpidemicState:
         return EpidemicState(S=self.S[t], I=self.I[t], R=self.R[t])
 
-    def states(self) -> Iterator[EpidemicState]:
-        for t in range(len(self.S)):
-            yield self.state(t)
-
 
 def _check_compatible(params: StageParams, incidence: IncidenceModel) -> None:
     if incidence.n != params.n:
@@ -200,28 +186,15 @@ def _check_compatible(params: StageParams, incidence: IncidenceModel) -> None:
 
 
 def step(state: EpidemicState, params: StageParams, incidence: IncidenceModel) -> EpidemicState:
-    """Advance the model by one time step.
+    """Advance the model by one time step: a one-step ``simulate``.
 
-    The update order matches the simulation kernel exactly, so repeated
-    ``step`` calls reproduce ``simulate`` bit for bit.
+    Repeated ``step`` calls therefore reproduce ``simulate`` bit for bit.
 
     Returns:
-        The successor state; conservation of S + ||I||_1 + R holds up to
-        floating-point rounding.
+        The successor state (the state itself when no one is infected);
+        conservation of S + ||I||_1 + R holds up to floating-point rounding.
     """
-    _check_compatible(params, incidence)
-    state.validate_against(params)
-    gamma = params.gamma
-    n = params.n
-    phi = incidence.phi(state.I)
-    inc = phi * state.S
-    S_new = state.S - inc
-    R_new = state.R + gamma[n - 1] * state.I[n - 1]
-    I_new = state.I.copy()
-    for j in range(n - 1, 0, -1):
-        I_new[j] = (1.0 - gamma[j]) * I_new[j] + gamma[j - 1] * I_new[j - 1]
-    I_new[0] = (1.0 - gamma[0]) * I_new[0] + inc
-    return EpidemicState(S=S_new, I=I_new, R=R_new)
+    return simulate(state, params, incidence, StoppingRule(max_steps=1)).state(-1)
 
 
 _FIRST_CHUNK_ROWS = 4096
@@ -260,8 +233,8 @@ def _simulate_kernel(initial, gamma, spec, max_steps, eps_z, eps_s):
 
 
 def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
-    # python loop for incidence models the kernel cannot encode; identical
-    # update order
+    # python loop for incidence models the kernel cannot encode; the
+    # kernel's update and summation order
     gamma = params.gamma
     n = params.n
     S, I, R = initial.S, initial.I.copy(), initial.R
@@ -269,7 +242,10 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
     conv = False
     reason = "max-steps"
     for t in range(max_steps + 1):
-        phi = incidence.phi(I)
+        try:
+            phi = incidence.phi(I)
+        except DomainError as exc:
+            raise DomainError(f"step {t}: {exc}") from exc
         Ss.append(S)
         Is.append(I.copy())
         Rs.append(R)
@@ -285,7 +261,9 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
         for j in range(n - 1, 0, -1):
             I[j] = (1.0 - gamma[j]) * I[j] + gamma[j - 1] * I[j - 1]
         I[0] = (1.0 - gamma[0]) * I[0] + inc
-        z = float(I.sum())
+        z = 0.0
+        for x in I:
+            z += x
         conv = (z < eps_z) and ((S - S_new) < eps_s)
         S = S_new
     return (np.array(Ss), np.array(Is), np.array(Rs), np.array(phis), reason)

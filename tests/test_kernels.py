@@ -20,6 +20,26 @@ from spepi.model import EpidemicState, StageParams, StoppingRule, _simulate_kern
 
 from conftest import random_initial, random_model
 
+N = 1.0
+# one model per kernel encoding (inner kind ik, outer kind ok)
+KERNEL_MODELS = [
+    ExponentialIncidence([0.2, 0.2, 0.1], N),
+    LinearIncidence([0.3, 0.4], N),
+    SplitExponentialIncidence([0.4, 0.6], [1.2, 0.7], N),
+    LastClassIncidence(n=2, N=N, kind="exponential", beta=0.9),
+    LastClassIncidence(n=2, N=N, kind="linear", beta=0.8),
+    compose_incidence(
+        ExponentialIncidence([0.5, 1.0], N),
+        ContactDistribution.explicit([0.1, 0.5, 0.3, 0.1]),
+    ),
+    poisson_incidence(2.5, LinearIncidence([0.2, 0.3], N)),
+]
+
+
+def _encoding_id(inc):
+    ik, _, _, ok, _ = inc.kernel_spec()
+    return f"{inc.family}-ik{ik}-ok{ok}"
+
 
 def _run_both(initial, gamma, spec, max_steps=10**6, eps_z=1e-12, eps_s=1e-14):
     current = kernels.run_chunk
@@ -53,21 +73,8 @@ def test_jit_and_python_twins_agree_bitwise():
 
 def test_all_kernel_encodings_match_object_phi():
     # each family encoding must reproduce the Python-object incidence values
-    N = 1.0
-    models = [
-        ExponentialIncidence([0.2, 0.2, 0.1], N),
-        LinearIncidence([0.3, 0.4], N),
-        SplitExponentialIncidence([0.4, 0.6], [1.2, 0.7], N),
-        LastClassIncidence(n=2, N=N, kind="exponential", beta=0.9),
-        LastClassIncidence(n=2, N=N, kind="linear", beta=0.8),
-        compose_incidence(
-            ExponentialIncidence([0.5, 1.0], N),
-            ContactDistribution.explicit([0.1, 0.5, 0.3, 0.1]),
-        ),
-        poisson_incidence(2.5, LinearIncidence([0.2, 0.3], N)),
-    ]
     rng = np.random.default_rng(5)
-    for inc in models:
+    for inc in KERNEL_MODELS:
         params = StageParams(gamma=rng.uniform(0.3, 0.8, inc.n), N=N)
         initial = random_initial(rng, params)
         traj = simulate(initial, params, inc, StoppingRule(max_steps=50))
@@ -112,22 +119,28 @@ def test_composed_kernel_full_run_matches_generic_path():
     np.testing.assert_array_equal(a.phi, b.phi)
 
 
-def test_chunk_resume_restarts_cleanly():
-    # drive the kernel manually with a 3-row buffer and splice the chunks
-    inc = ExponentialIncidence([0.4, 0.6], 1.0)
-    params = StageParams(gamma=[0.5, 0.7], N=1.0)
-    spec = inc.kernel_spec()
-    S, I, R = 0.98, np.array([0.02, 0.0]), 0.0
+@pytest.mark.parametrize("cap", [1, 3])
+@pytest.mark.parametrize("inc", KERNEL_MODELS, ids=_encoding_id)
+def test_chunk_resume_restarts_cleanly(inc, cap):
+    # drive the kernel manually with cap-row buffers and splice the chunks;
+    # every call after the first enters on an already recorded state, so
+    # with 1-row buffers each of those rows comes from the resumed step
+    n = inc.n
+    params = StageParams(gamma=np.linspace(0.5, 0.7, n), N=N)
+    I0 = np.full(n, 0.02 / n)
+    S, I, R = N - I0.sum(), I0.copy(), 0.0
     phi_entry = -1.0
-    rows_all = []
-    for _ in range(4):
-        bufs = (np.empty(3), np.empty((3, 2)), np.empty(3), np.empty(3))
+    chunks = []
+    for _ in range(12 // cap):
+        bufs = (np.empty(cap), np.empty((cap, n)), np.empty(cap), np.empty(cap))
         rows, status, S, R, phi_entry = kernels.run_chunk_py(
-            S, I, R, phi_entry, params.gamma, *spec, 1e-12, 1e-14, *bufs
+            S, I, R, phi_entry, params.gamma, *inc.kernel_spec(), 1e-12, 1e-14, *bufs
         )
-        rows_all.append((bufs[0][:rows].copy(), bufs[1][:rows].copy()))
-        assert rows == 3 and status == kernels.FULL
-    S_glued = np.concatenate([r[0] for r in rows_all])
-    ref = simulate(EpidemicState(S=0.98, I=[0.02, 0.0], R=0.0), params, inc,
-                   StoppingRule(max_steps=len(S_glued) - 1))
-    np.testing.assert_array_equal(S_glued, ref.S)
+        assert rows == cap and status == kernels.FULL
+        chunks.append([b.copy() for b in bufs])
+    glued = [np.concatenate(c) for c in zip(*chunks)]
+    ref = simulate(EpidemicState(S=N - I0.sum(), I=I0, R=0.0), params, inc,
+                   StoppingRule(max_steps=11))
+    assert ref.n_steps == 11
+    for got, want in zip(glued, (ref.S, ref.I, ref.R, ref.phi)):
+        np.testing.assert_array_equal(got, want)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spepi import (
+    CustomIncidence,
+    DomainError,
     EpidemicState,
     ExponentialIncidence,
     LinearIncidence,
@@ -123,12 +127,17 @@ def test_simulate_zero_seed_converges_at_t0():
     assert traj.phi[0] == 0.0
 
 
-def test_simulate_matches_iterated_step_bitwise(figures):
+@pytest.mark.parametrize("path", ["kernel", "generic"])
+def test_simulate_matches_iterated_step_bitwise(figures, path):
     sc = figures["fig2-left"]
-    traj = simulate(sc.initial, sc.params, sc.incidence, sc.stopping)
+    inc = sc.incidence
+    if path == "generic":  # the same phi as a custom callable
+        inc = CustomIncidence(inc._phi_raw, n=sc.params.n, N=sc.params.N)
+    assert (inc.kernel_spec() is None) == (path == "generic")
+    traj = simulate(sc.initial, sc.params, inc, sc.stopping)
     state = sc.initial
     for t in range(1, min(traj.n_steps, 200) + 1):
-        state = step(state, sc.params, sc.incidence)
+        state = step(state, sc.params, inc)
         assert state.S == traj.S[t]
         np.testing.assert_array_equal(state.I, traj.I[t])
         assert state.R == traj.R[t]
@@ -222,3 +231,50 @@ def test_generic_python_path_matches_kernel(figures):
     assert alt.n_steps == ref.n_steps
     np.testing.assert_allclose(alt.S, ref.S, rtol=0, atol=0)
     np.testing.assert_allclose(alt.I, ref.I, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_generic_stop_rule_sums_like_the_kernel(n):
+    # for n >= 8 numpy's pairwise I.sum() adds in another order than the
+    # kernel's sequential loop; with eps_z between the two sums of ||I(t)||_1
+    # the kernel and the generic path must still stop at the same step
+    params = StageParams(gamma=np.full(n, 0.3), N=1.0)
+    inc = ExponentialIncidence(np.full(n, 0.02), N=1.0)
+    mirror = CustomIncidence(inc._phi_raw, n=n, N=1.0)
+    initial = EpidemicState(S=0.99, I=[0.01] + [0.0] * (n - 1), R=0.0)
+    free = simulate(initial, params, inc, StoppingRule(max_steps=400, eps_z=0.0, eps_s=0.0))
+
+    def sequential(v):
+        z = 0.0
+        for x in v:
+            z += x
+        return z
+
+    seq = [sequential(v) for v in free.I]
+    pairwise = [float(v.sum()) for v in free.I]
+    t = next(t for t in range(1, free.n_steps + 1)
+             if seq[t] != pairwise[t]
+             and min(seq[1:t] + pairwise[1:t], default=math.inf) >= max(seq[t], pairwise[t]))
+    rule = StoppingRule(max_steps=400, eps_z=max(seq[t], pairwise[t]), eps_s=1.0)
+    a = simulate(initial, params, inc, rule)
+    b = simulate(initial, params, mirror, rule)
+    assert a.stop_reason == b.stop_reason == "converged"
+    assert a.n_steps == b.n_steps
+    np.testing.assert_array_equal(a.S, b.S)
+    np.testing.assert_array_equal(a.I, b.I)
+
+
+@pytest.mark.parametrize("func, message", [
+    (lambda I: math.nan if I.any() else 0.0, r"^step 0: phi = nan lies outside \[0, 1\]"),
+    (lambda I: 50.0 * float(I.sum()), r"^step 1: phi = 50(\.0)? lies outside \[0, 1\]"),
+], ids=["nan", "fifty-Z"])
+def test_generic_path_rejects_invalid_phi(func, message):
+    # unchecked, a NaN phi runs all max_steps to S_inf = nan, and phi = 50 Z
+    # empties S in one step and then "converges" with S_inf = 0
+    params = StageParams(gamma=[0.5, 0.5], N=1.0)
+    inc = CustomIncidence(func, n=2, N=1.0, grad=lambda I: [1.0, 1.0])
+    initial = EpidemicState(S=0.98, I=[0.02, 0.0], R=0.0)
+    with pytest.raises(DomainError, match=message):
+        simulate(initial, params, inc, StoppingRule(max_steps=20_000))
+    with pytest.raises(DomainError, match="outside"):
+        inc.phi([0.5, 0.5])

@@ -4,6 +4,15 @@ The same source is used for both paths; ``SPEPI_DISABLE_NUMBA=1`` (or a
 failed numba import) selects the uncompiled twin.  The ``deep-trajectory``
 workload of ``perfbench/`` times the two against each other.
 
+The kernel indexes its inputs with ``len()`` and flat subscripts only, so
+the compiled path runs it on numpy arrays and the twin on Python lists.
+Indexing a numpy array from Python boxes a numpy scalar per element, which
+made the twin about twice as slow.  The twin runs the source in blocks of
+at most ``BLOCK_ROWS`` rows on reused list buffers and copies each block
+into the caller's arrays: every list entry is a boxed float, and buffers
+as long as a whole chunk (8k rows and more) raised the peak memory of a
+deep run by several MB.
+
 Incidence encoding shared with :meth:`IncidenceModel.kernel_spec`:
 
   inner kind ``ik``:  0 linear  phi = v1 . I
@@ -30,8 +39,12 @@ FULL = 0
 def _run_chunk_impl(S, I, R, phi_entry, gamma,
                     ik, v1, v2, ok, op,
                     eps_z, eps_s,
-                    S_out, I_out, R_out, phi_out):
+                    S_out, I_out, R_out, phi_out, Z_out):
     """Advance the staged-progression map, recording one row per state.
+
+    Row ``k`` holds S, R, phi and the prevalence ||I||_1 (summed in the
+    stop rule's order) at ``S_out[k]`` etc., and stage j at
+    ``I_out[k * n + j]`` of the flat stage buffer.
 
     phi_entry < 0: the entry state is unrecorded; record it first.
     phi_entry >= 0: the entry state is already recorded with that incidence
@@ -41,12 +54,15 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
     with status CONVERGED (||I|| < eps_z and the susceptible decrement fell
     below eps_s) or FULL (buffer exhausted, call again to continue).
     """
-    n = I.shape[0]
-    cap = S_out.shape[0]
+    n = len(I)
+    cap = len(S_out)
     row = 0
     conv = False
     phi = phi_entry
     advance = phi_entry >= 0.0
+    z = 0.0
+    for j in range(n):  # the entry state's prevalence
+        z += I[j]
 
     while True:
         if advance:
@@ -85,15 +101,16 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
             q = 1.0 - pi
             t = 0.0
             phi = 0.0
-            for i in range(1, op.shape[0]):
+            for i in range(1, len(op)):
                 t = pi + q * t
                 phi += op[i] * t
 
         S_out[row] = S
         for j in range(n):
-            I_out[row, j] = I[j]
+            I_out[row * n + j] = I[j]
         R_out[row] = R
         phi_out[row] = phi
+        Z_out[row] = z
         row += 1
         if conv:
             return row, CONVERGED, S, R, phi
@@ -102,7 +119,48 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
         advance = True
 
 
-run_chunk_py = _run_chunk_impl
+BLOCK_ROWS = 1024
+
+
+def run_chunk_py(S, I, R, phi_entry, gamma,
+                 ik, v1, v2, ok, op,
+                 eps_z, eps_s,
+                 S_out, I_out, R_out, phi_out, Z_out):
+    """``_run_chunk_impl`` on Python lists, with the same arguments and result.
+
+    The numpy buffers are filled in blocks of at most ``BLOCK_ROWS`` rows;
+    each block after the first resumes on the state the previous one
+    recorded last.  ``I_out`` may be flat or (rows, n).
+    """
+    n = len(I)
+    cap = len(S_out)
+    I_cur = I.tolist()
+    gamma, v1, v2, op = gamma.tolist(), v1.tolist(), v2.tolist(), op.tolist()
+    I_flat = I_out.reshape(-1)
+    bufs = None
+    done = 0
+    status = FULL
+    phi = phi_entry
+    while status == FULL and done < cap:
+        rows_max = min(BLOCK_ROWS, cap - done)
+        if bufs is None or len(bufs[0]) != rows_max:
+            bufs = ([0.0] * rows_max, [0.0] * (rows_max * n), [0.0] * rows_max,
+                    [0.0] * rows_max, [0.0] * rows_max)
+        S_b, I_b, R_b, phi_b, Z_b = bufs
+        rows, status, S, R, phi = _run_chunk_impl(
+            S, I_cur, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
+            S_b, I_b, R_b, phi_b, Z_b,
+        )
+        end = done + rows
+        S_out[done:end] = S_b[:rows]
+        I_flat[done * n:end * n] = I_b[:rows * n]
+        R_out[done:end] = R_b[:rows]
+        phi_out[done:end] = phi_b[:rows]
+        Z_out[done:end] = Z_b[:rows]
+        done = end
+    I[:] = I_cur
+    return done, status, S, R, phi
+
 
 try:  # pragma: no cover - exercised indirectly
     import numba

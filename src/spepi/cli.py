@@ -28,6 +28,7 @@ from .scenario import (
     FIGURE_SCENARIO_NAMES,
     Scenario,
     ScenarioError,
+    figure_scenario,
     figure_scenarios,
     load_scenario,
     scenario_from_dict,
@@ -50,7 +51,7 @@ def _resolve_scenario(ref: str) -> Scenario:
     if Path(ref).exists():
         return load_scenario(ref)
     if ref in FIGURE_SCENARIO_NAMES:
-        return figure_scenarios()[ref]
+        return figure_scenario(ref)
     raise ScenarioError(f"scenario {ref!r}: no such file or bundled scenario name")
 
 
@@ -63,18 +64,24 @@ def _apply_stopping_overrides(scenario: Scenario, args) -> StoppingRule:
     )
 
 
+# rows formatted per write; the block's .tolist() holds one boxed float per
+# value, so a whole-trajectory block would raise the peak memory of deep runs
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
     n = traj.params.n
-    Z = traj.Z
+    # "%.17g" gives the same bytes as _g17
+    row_fmt = "%d," + ",".join(["%.17g"] * (n + 4)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         stage_cols = ",".join(f"I{j + 1}" for j in range(n))
         fh.write(f"t,S,{stage_cols},R,Z,phi\n")
-        for t in range(len(traj.S)):
-            stages = ",".join(_g17(traj.I[t, j]) for j in range(n))
-            fh.write(
-                f"{t},{_g17(traj.S[t])},{stages},{_g17(traj.R[t])},"
-                f"{_g17(Z[t])},{_g17(traj.phi[t])}\n"
-            )
+        for start in range(0, len(traj.S), _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            block = np.column_stack(
+                (traj.S[rows], traj.I[rows], traj.R[rows], traj.Z[rows], traj.phi[rows])
+            ).tolist()
+            fh.write("".join([row_fmt % (t, *row) for t, row in enumerate(block, start)]))
         fh.write(f"# S_inf_estimate = {_g17(traj.S_inf)}\n")
         fh.write(f"# stop_reason = {traj.stop_reason}\n")
         fh.write(f"# steps = {traj.n_steps}\n")

@@ -391,7 +391,7 @@ class CustomIncidence(IncidenceModel):
         self._func = func
         self._grad = grad
         z = float(func(np.zeros(self.n)))
-        if abs(z) > 1e-14:
+        if not abs(z) <= 1e-14:  # NaN fails too
             raise ValueError(f"phi(0) must be 0, got {z:.3e}")
         r = self._grad_raw(np.zeros(self.n))
         r.flags.writeable = False

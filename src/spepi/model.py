@@ -143,7 +143,9 @@ class Trajectory:
     """A recorded run: one row per time step t = 0, 1, ..., T.
 
     ``phi[t]`` is the incidence applied over (t, t+1]; it is also recorded
-    for the final state.  ``stop_reason`` is "converged" or "max-steps".
+    for the final state.  ``Z[t]`` is the prevalence ||I(t)||_1 summed in
+    the stop rule's order, so a converged run has ``Z[-1] < eps_z``.
+    ``stop_reason`` is "converged" or "max-steps".
     """
 
     params: StageParams
@@ -152,6 +154,7 @@ class Trajectory:
     I: np.ndarray
     R: np.ndarray
     phi: np.ndarray
+    Z: np.ndarray
     stop_reason: str
     eps_z: float
     eps_s: float
@@ -160,10 +163,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.S) - 1
-
-    @property
-    def Z(self) -> np.ndarray:
-        return self.I.sum(axis=1)
 
     @property
     def S_inf(self) -> float:
@@ -214,22 +213,24 @@ def _simulate_kernel(initial, gamma, spec, max_steps, eps_z, eps_s):
     while True:
         n = I_cur.shape[0]
         S_buf = np.empty(cap)
-        I_buf = np.empty((cap, n))
+        I_buf = np.empty(cap * n)
         R_buf = np.empty(cap)
         phi_buf = np.empty(cap)
+        Z_buf = np.empty(cap)
         rows, status, S_cur, R_cur, phi_entry = _kernels.run_chunk(
             S_cur, I_cur, R_cur, phi_entry, gamma,
             ik, v1, v2, ok, op, eps_z, eps_s,
-            S_buf, I_buf, R_buf, phi_buf,
+            S_buf, I_buf, R_buf, phi_buf, Z_buf,
         )
-        chunks.append((S_buf[:rows], I_buf[:rows], R_buf[:rows], phi_buf[:rows]))
+        chunks.append((S_buf[:rows], I_buf[:rows * n].reshape(rows, n), R_buf[:rows],
+                       phi_buf[:rows], Z_buf[:rows]))
         rows_total += rows
         if status == _kernels.CONVERGED or rows_total >= max_rows:
             break
         cap = min(2 * cap, max_rows - rows_total)
-    concat = [np.concatenate([c[k] for c in chunks]) for k in range(4)]
+    concat = [np.concatenate([c[k] for c in chunks]) for k in range(5)]
     reason = "converged" if status == _kernels.CONVERGED else "max-steps"
-    return concat[0], concat[1], concat[2], concat[3], reason
+    return (*concat, reason)
 
 
 def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
@@ -238,7 +239,10 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
     gamma = params.gamma
     n = params.n
     S, I, R = initial.S, initial.I.copy(), initial.R
-    Ss, Is, Rs, phis = [], [], [], []
+    Ss, Is, Rs, phis, Zs = [], [], [], [], []
+    z = 0.0
+    for x in I:
+        z += x
     conv = False
     reason = "max-steps"
     for t in range(max_steps + 1):
@@ -250,6 +254,7 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
         Is.append(I.copy())
         Rs.append(R)
         phis.append(phi)
+        Zs.append(z)
         if conv:
             reason = "converged"
             break
@@ -266,7 +271,7 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
             z += x
         conv = (z < eps_z) and ((S - S_new) < eps_s)
         S = S_new
-    return (np.array(Ss), np.array(Is), np.array(Rs), np.array(phis), reason)
+    return (np.array(Ss), np.array(Is), np.array(Rs), np.array(phis), np.array(Zs), reason)
 
 
 def simulate(
@@ -298,21 +303,21 @@ def simulate(
         return Trajectory(
             params=params, incidence=incidence,
             S=np.array([initial.S]), I=initial.I.reshape(1, -1).copy(),
-            R=np.array([initial.R]), phi=np.array([0.0]),
+            R=np.array([initial.R]), phi=np.array([0.0]), Z=np.array([0.0]),
             stop_reason="converged", eps_z=eps_z, eps_s=eps_s, max_steps=max_steps,
         )
 
     spec = incidence.kernel_spec()
     if spec is not None:
-        S, I, R, phi, reason = _simulate_kernel(
+        S, I, R, phi, Z, reason = _simulate_kernel(
             initial, params.gamma, spec, max_steps, eps_z, eps_s
         )
     else:
-        S, I, R, phi, reason = _simulate_generic(
+        S, I, R, phi, Z, reason = _simulate_generic(
             initial, params, incidence, max_steps, eps_z, eps_s
         )
     return Trajectory(
         params=params, incidence=incidence,
-        S=S, I=I, R=R, phi=phi,
+        S=S, I=I, R=R, phi=phi, Z=Z,
         stop_reason=reason, eps_z=eps_z, eps_s=eps_s, max_steps=max_steps,
     )

@@ -62,6 +62,7 @@ __all__ = [
     "scenario_from_dict",
     "scenario_to_dict",
     "set_scenario_value",
+    "figure_scenario",
     "figure_scenarios",
     "FIGURE_SCENARIO_NAMES",
 ]
@@ -350,12 +351,15 @@ def set_scenario_value(data: dict, path: str, value: float) -> None:
     data[section_key][key] = ", ".join(repr(v) for v in items)
 
 
+def figure_scenario(name: str) -> Scenario:
+    """The bundled figure scenario with label ``name``."""
+    if name not in FIGURE_SCENARIO_NAMES:
+        raise ScenarioError(f"no bundled figure scenario named {name!r}")
+    path = resources.files("spepi").joinpath("scenarios").joinpath(f"{name}.ini")
+    return scenario_from_dict(_parse_ini(path.read_text(encoding="utf-8"), f"{name}.ini"))
+
+
 def figure_scenarios() -> dict:
     """The five bundled figure scenarios, keyed by label."""
-    out = {}
-    base = resources.files("spepi").joinpath("scenarios")
-    for name in FIGURE_SCENARIO_NAMES:
-        text = base.joinpath(f"{name}.ini").read_text(encoding="utf-8")
-        out[name] = scenario_from_dict(_parse_ini(text, f"{name}.ini"))
-    return out
+    return {name: figure_scenario(name) for name in FIGURE_SCENARIO_NAMES}
 

@@ -7,8 +7,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spepi import cli, simulate
+from spepi import ExponentialIncidence, StageParams, cli, simulate
 from spepi.cli import _figure_verdict, main
+from spepi.model import Trajectory
 from spepi.scenario import FIGURE_SCENARIO_NAMES
 
 
@@ -77,6 +78,29 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert main(["simulate", "--scenario", "fig2-right", "--out", str(a)]) == 0
     assert main(["simulate", "--scenario", "fig2-right", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_trajectory_csv_matches_per_value_formatting(tmp_path):
+    # the writer formats blocks of rows with "%.17g"; over several blocks and
+    # values from subnormal to 1/3 it must give the bytes of f"{x:.17g}"
+    values = [5e-324, 1e-240, 0.1, 1 / 3, 0.0, 1.0, 2.2250738585072014e-308, 0.99]
+    rows, n = 2500, 2
+    draw = np.random.default_rng(3).choice(values, size=(rows, n + 4))
+    traj = Trajectory(
+        params=StageParams(gamma=[0.5, 0.5], N=1.0),
+        incidence=ExponentialIncidence([0.2, 0.2], N=1.0),
+        S=draw[:, 0], I=draw[:, 1:3], R=draw[:, 3], phi=draw[:, 4], Z=draw[:, 5],
+        stop_reason="converged", eps_z=1e-12, eps_s=1e-14, max_steps=10**6,
+    )
+    out = tmp_path / "traj.csv"
+    cli._write_trajectory_csv(traj, out)
+    lines = ["t,S,I1,I2,R,Z,phi"]
+    for t in range(rows):
+        cells = [traj.S[t], *traj.I[t], traj.R[t], traj.Z[t], traj.phi[t]]
+        lines.append(",".join([str(t)] + [f"{x:.17g}" for x in cells]))
+    lines += [f"# S_inf_estimate = {traj.S[-1]:.17g}", "# stop_reason = converged",
+              f"# steps = {rows - 1}"]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def _analyze_dict(capsys, *args):

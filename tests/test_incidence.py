@@ -90,6 +90,8 @@ def test_constructor_rejections():
         LastClassIncidence(n=2, N=1.0, kind="linear", beta=1.5)  # beta > 1/N
     with pytest.raises(ValueError):
         CustomIncidence(lambda I: 0.01 + I.sum(), n=1, N=1.0)  # phi(0) != 0
+    with pytest.raises(ValueError, match="phi\\(0\\) must be 0"):
+        CustomIncidence(lambda I: math.nan, n=2, N=1.0)
 
 
 def test_last_class_profiles():

@@ -233,6 +233,13 @@ def test_generic_python_path_matches_kernel(figures):
     np.testing.assert_allclose(alt.I, ref.I, rtol=0, atol=0)
 
 
+def _sequential(v):
+    z = 0.0
+    for x in v:
+        z += x
+    return z
+
+
 @pytest.mark.parametrize("n", [10, 11, 12])
 def test_generic_stop_rule_sums_like_the_kernel(n):
     # for n >= 8 numpy's pairwise I.sum() adds in another order than the
@@ -243,14 +250,7 @@ def test_generic_stop_rule_sums_like_the_kernel(n):
     mirror = CustomIncidence(inc._phi_raw, n=n, N=1.0)
     initial = EpidemicState(S=0.99, I=[0.01] + [0.0] * (n - 1), R=0.0)
     free = simulate(initial, params, inc, StoppingRule(max_steps=400, eps_z=0.0, eps_s=0.0))
-
-    def sequential(v):
-        z = 0.0
-        for x in v:
-            z += x
-        return z
-
-    seq = [sequential(v) for v in free.I]
+    seq = [_sequential(v) for v in free.I]
     pairwise = [float(v.sum()) for v in free.I]
     t = next(t for t in range(1, free.n_steps + 1)
              if seq[t] != pairwise[t]
@@ -262,6 +262,30 @@ def test_generic_stop_rule_sums_like_the_kernel(n):
     assert a.n_steps == b.n_steps
     np.testing.assert_array_equal(a.S, b.S)
     np.testing.assert_array_equal(a.I, b.I)
+
+
+@pytest.mark.parametrize("path", ["kernel", "generic"])
+def test_converged_run_records_z_below_eps_z(path):
+    # with n = 10 numpy's pairwise I.sum() and the stop rule's sequential
+    # sum differ in the last digit; eps_z at the pairwise sum of a step where
+    # the sequential one is smaller stops the run there, and the recorded Z
+    # must be the sum the stop rule tested
+    n = 10
+    params = StageParams(gamma=np.full(n, 0.3), N=1.0)
+    inc = ExponentialIncidence(np.full(n, 0.02), N=1.0)
+    if path == "generic":
+        inc = CustomIncidence(inc._phi_raw, n=n, N=1.0)
+    initial = EpidemicState(S=0.99, I=[0.01] + [0.0] * (n - 1), R=0.0)
+    free = simulate(initial, params, inc, StoppingRule(max_steps=400, eps_z=0.0, eps_s=0.0))
+    seq = [_sequential(v) for v in free.I]
+    pairwise = [float(v.sum()) for v in free.I]
+    t = next(t for t in range(1, free.n_steps + 1)
+             if seq[t] < pairwise[t] and min(seq[1:t], default=math.inf) >= pairwise[t])
+    traj = simulate(initial, params, inc,
+                    StoppingRule(max_steps=400, eps_z=pairwise[t], eps_s=1.0))
+    assert traj.stop_reason == "converged" and traj.n_steps == t
+    assert traj.Z[-1] < traj.eps_z
+    assert traj.Z.tolist() == seq[:t + 1]
 
 
 @pytest.mark.parametrize("func, message", [

@@ -27,7 +27,7 @@ import numpy as np
 
 from .incidence import ExponentialIncidence, IncidenceModel
 from .model import EpidemicState, StageParams, StoppingRule, Trajectory, simulate
-from .spectral import build_B, delta, perron, r0
+from .spectral import _bisect, build_B, delta, perron, r0
 
 __all__ = [
     "FinalSizeResult",
@@ -43,8 +43,6 @@ __all__ = [
     "monotonicity_onset",
 ]
 
-BISECTION_MAX_ITER = 200
-BISECTION_LOW_GUARD = 1e-300
 # cross-check runs use a tighter prevalence cutoff than the simulate default
 CROSSCHECK_EPS_Z_REL = 1e-13
 # stage vectors below this are fp noise; the limit direction is read just above
@@ -104,9 +102,12 @@ def final_size_equation_solve(
 ) -> FinalSizeResult:
     """Root of the exponential-incidence final-size equation.
 
-    g(x) = log(S(0)/x) - sum_j (b_j/g_j)(S(0) + cumsum(I(0))_j) + R0 x / N
-    is decreasing on (0, 1/delta) and increasing beyond, with its unique
-    root in (0, min(S(0), 1/delta)); bisection on that bracket.
+    g(x) = log(S(0)) - log(x) - sum_j (b_j/g_j)(S(0) + cumsum(I(0))_j) + R0 x / N
+    is decreasing on (0, N/R0) and increasing beyond, with its unique
+    root in (0, min(S(0), N/R0)); ``spectral._bisect`` closes that bracket
+    from the least positive double to adjacent doubles, so the root keeps
+    full relative precision however small it is.  A root below the least
+    positive double comes back as a subnormal of a few ulps.
 
     Raises:
         TypeError: for non-exponential incidence (the equation is specific
@@ -125,32 +126,21 @@ def final_size_equation_solve(
     N = params.N
     beta, gamma = incidence.beta, params.gamma
     R0 = r0(params, incidence)
-    dlt = R0 / N
     C = float(((beta / gamma) * (S0 + np.cumsum(initial.I))).sum())
+    log_S0 = math.log(S0)
 
     def g(x: float) -> float:
-        return math.log(S0 / x) - C + R0 * x / N
+        # log(S0 / x) would overflow to inf for x below about 5e-309
+        return log_S0 - math.log(x) - C + R0 * x / N
 
-    lo = BISECTION_LOW_GUARD
-    hi = min(S0, 1.0 / dlt)
+    hi = min(S0, N / R0)
     if not g(hi) < 0.0:
         raise ValueError(
             "no sign change on the final-size bracket; initial condition violated"
         )
-    tol = 1e-14 * N
-    iterations = 0
-    for _ in range(BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    root = 0.5 * (lo + hi)
+    root, halvings = _bisect(lambda x: not g(x) > 0.0, math.ulp(0.0), hi)
     return FinalSizeResult(
-        s_inf=root, method="equation-root", iterations=iterations,
+        s_inf=root, method="equation-root", iterations=halvings,
         bounds=final_size_bounds(initial, params, incidence),
     )
 

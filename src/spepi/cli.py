@@ -119,11 +119,12 @@ def _analyze_lines(scenario: Scenario, stopping: StoppingRule):
     put(("lower_bound", _g17(bounds.lower) if bounds.lower is not None
          else f"n/a ({bounds.lower_reason})"))
 
-    if incidence.family == "exponential" and initial.satisfies_initial_condition():
+    try:
         eq = asymptotics.final_size_equation_solve(initial, params, incidence)
-        put(("S_inf_equation", _g17(eq.s_inf)))
+    except (TypeError, ValueError) as exc:
+        put(("S_inf_equation", f"n/a ({exc})"))
     else:
-        put(("S_inf_equation", "n/a (exponential incidence family only)"))
+        put(("S_inf_equation", _g17(eq.s_inf)))
 
     traj = simulate(initial, params, incidence, stopping)
     put(("stop_reason", traj.stop_reason))

@@ -93,8 +93,11 @@ class EpidemicState:
 
     @property
     def Z(self) -> float:
-        """Prevalence: total infected population ||I||_1."""
-        return float(self.I.sum())
+        """Prevalence ||I||_1, summed in the stepping kernel's order."""
+        z = 0.0
+        for x in self.I.tolist():
+            z += x
+        return z
 
     @property
     def total(self) -> float:
@@ -234,15 +237,13 @@ def _simulate_kernel(initial, gamma, spec, max_steps, eps_z, eps_s):
 
 
 def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
-    # python loop for incidence models the kernel cannot encode; the
-    # kernel's update and summation order
-    gamma = params.gamma
+    # python loop on lists for incidence models the kernel cannot encode;
+    # the kernel's update and summation order
+    gamma = params.gamma.tolist()
     n = params.n
-    S, I, R = initial.S, initial.I.copy(), initial.R
+    S, I, R = initial.S, initial.I.tolist(), initial.R
     Ss, Is, Rs, phis, Zs = [], [], [], [], []
-    z = 0.0
-    for x in I:
-        z += x
+    z = initial.Z
     conv = False
     reason = "max-steps"
     for t in range(max_steps + 1):

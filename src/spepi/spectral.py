@@ -18,6 +18,7 @@ number R0 = N * delta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,6 @@ __all__ = [
     "StageMatrixDecomposition",
     "PerronData",
     "SignIdentityReport",
-    "transition_matrix",
-    "infection_matrix",
     "build_B",
     "nrv",
     "delta",
@@ -44,16 +43,12 @@ SIGN_ZERO_TOL = 1e-9  # |x| below this counts as zero in threshold sign tests
 
 @dataclass(frozen=True)
 class StageMatrixDecomposition:
-    """B(a) = T + F(a) with its ingredients.
-
-    T holds stage transitions (lower bidiagonal, spectral radius
-    max_j(1 - g_j) < 1); F(a) holds new infections (a * r in row one).
-    """
+    """B(a) = T + F(a) by its ingredients: the susceptible level a, the
+    progression probabilities g (T is lower bidiagonal with diagonal 1 - g
+    and subdiagonal g, spectral radius max_j(1 - g_j) < 1) and the
+    first-order infectivities r (F(a) is a * r in row one)."""
 
     a: float
-    T: np.ndarray
-    F: np.ndarray
-    B: np.ndarray
     gamma: np.ndarray
     r: np.ndarray
 
@@ -68,27 +63,8 @@ class PerronData:
     iterations: int
 
 
-def transition_matrix(params: StageParams) -> np.ndarray:
-    """Lower-bidiagonal stage-transition matrix T."""
-    n = params.n
-    T = np.zeros((n, n))
-    for j in range(n):
-        T[j, j] = 1.0 - params.gamma[j]
-        if j + 1 < n:
-            T[j + 1, j] = params.gamma[j]
-    return T
-
-
-def infection_matrix(a: float, r) -> np.ndarray:
-    """Rank-one new-infection matrix F(a): a * r in the first row."""
-    r = np.asarray(r, dtype=float)
-    F = np.zeros((r.size, r.size))
-    F[0, :] = a * r
-    return F
-
-
 def build_B(a: float, params: StageParams, r) -> StageMatrixDecomposition:
-    """Assemble the decomposition B(a) = T + F(a).
+    """Check and hold the ingredients of B(a) = T + F(a).
 
     Args:
         a: susceptible level, must be positive.
@@ -104,9 +80,7 @@ def build_B(a: float, params: StageParams, r) -> StageMatrixDecomposition:
         raise ValueError(f"r must have length {params.n}")
     if np.any(r < 0.0) or not r[-1] > 0.0:
         raise ValueError("r must be nonnegative with r_n > 0")
-    T = transition_matrix(params)
-    F = infection_matrix(a, r)
-    return StageMatrixDecomposition(a=a, T=T, F=F, B=T + F, gamma=params.gamma, r=r)
+    return StageMatrixDecomposition(a=a, gamma=params.gamma, r=r)
 
 
 def nrv(decomp: StageMatrixDecomposition) -> float:
@@ -122,7 +96,7 @@ def nrv(decomp: StageMatrixDecomposition) -> float:
     x[0] = 1.0 / gamma[0]
     for j in range(1, gamma.size):
         x[j] = gamma[j - 1] * x[j - 1] / gamma[j]
-    return float(decomp.F[0] @ x)
+    return float((decomp.a * decomp.r) @ x)
 
 
 def delta(params: StageParams, incidence: IncidenceModel) -> float:
@@ -150,10 +124,10 @@ def perron(decomp: StageMatrixDecomposition) -> PerronData:
     from v_1 = 1, and row 1 then reads a r.v(lam) = lam - 1 + g_1.  On
     lam > max_k(1 - g_k) the left side strictly decreases and the right
     side increases, so the Perron root is the only solution there; it is
-    at most the largest column sum 1 + a max(r).  Bisection of that
-    bracket stops when the midpoint equals an endpoint, after about 53
-    halvings.  Near the low end v can overflow; the inf or NaN this gives
-    fails the comparison and so counts as lam below the root.
+    at most the largest column sum 1 + a max(r), and ``_bisect`` closes
+    that bracket to adjacent doubles in about 50 halvings.  Near the low end
+    v can overflow; the inf or NaN this gives fails the comparison and so
+    counts as lam below the root.
     """
     gamma = decomp.gamma.tolist()
     ar = (decomp.a * decomp.r).tolist()
@@ -165,19 +139,34 @@ def perron(decomp: StageMatrixDecomposition) -> PerronData:
             v.append(gamma[j - 1] * v[-1] / (lam - d[j]))
         return v
 
-    lo, hi = max(d), 1.0 + max(ar)
+    def below(lam):
+        return sum(x * y for x, y in zip(ar, shape(lam))) <= lam - d[0]
+
+    rho, halvings = _bisect(below, max(d), 1.0 + max(ar))
+    v = np.array(shape(rho))
+    return PerronData(rho=rho, v=v / v.sum(), iterations=halvings)
+
+
+def _bisect(below, lo: float, hi: float) -> tuple[float, int]:
+    """Bisect the bracket (lo, hi] of a root; return hi and the halvings.
+
+    ``below(x)`` is True when the root is at or below x, and lo must be
+    positive.  The midpoint is geometric, sqrt(lo) sqrt(hi), while
+    hi > 4 lo, so a bracket spanning hundreds of decades closes in about
+    60 halvings, and arithmetic after.  The loop ends when the midpoint is
+    no longer strictly inside the bracket, that is, when lo and hi are
+    adjacent doubles.
+    """
     halvings = 0
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 4.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi, halvings
         halvings += 1
-        if sum(x * y for x, y in zip(ar, shape(mid))) <= mid - d[0]:
+        if below(mid):
             hi = mid
         else:
             lo = mid
-    v = np.array(shape(hi))
-    return PerronData(rho=hi, v=v / v.sum(), iterations=halvings)
 
 
 def _sign(x: float) -> int:

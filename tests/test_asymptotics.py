@@ -18,6 +18,7 @@ from spepi import (
     final_size_simulate,
     limit_direction,
     monotonicity_onset,
+    r0,
     simulate,
     tail_sum_check,
 )
@@ -90,6 +91,60 @@ def test_final_size_equation_guards():
         final_size_equation_solve(
             EpidemicState(S=1.0, I=[0.0], R=0.0), params, ExponentialIncidence([1.0], N=N)
         )
+
+
+def _mp_final_size_root(initial, params, inc):
+    """The final-size root at 60 digits, for the double-precision C and R0
+    that final_size_equation_solve evaluates; solved in y = log x, where
+    log S0 - y - C + R0 e^y / N is smooth however small the root is."""
+    mpmath = pytest.importorskip("mpmath")
+    S0, N = initial.S, params.N
+    R0 = r0(params, inc)
+    C = float(((inc.beta / params.gamma) * (S0 + np.cumsum(initial.I))).sum())
+    with mpmath.workdps(60):
+        y = mpmath.findroot(
+            lambda y: mpmath.log(S0) - y - C + R0 * mpmath.exp(y) / N,
+            (mpmath.log(S0) - C - 1, mpmath.log(min(S0, N / R0))), solver="anderson",
+        )
+        return mpmath.exp(y)
+
+
+_FINAL_SIZE_MODELS = {
+    "one-stage": ([0.5], [1.0], 0.99, [0.01]),
+    "three-stage": ([0.6, 0.7, 0.3], [0.2, 0.2, 0.1], 0.98, [0.01, 0.006, 0.004]),
+}
+
+
+def _final_size_case(model, R0):
+    gamma, shape, S0, I = _FINAL_SIZE_MODELS[model]
+    gamma, shape, I = np.array(gamma), np.array(shape), np.array(I)
+    params = StageParams(gamma=gamma, N=1.0)
+    inc = ExponentialIncidence(shape * (R0 / float((shape / gamma).sum())), N=1.0)
+    return EpidemicState(S=S0, I=I, R=1.0 - S0 - I.sum()), params, inc
+
+
+@pytest.mark.parametrize("model", sorted(_FINAL_SIZE_MODELS))
+def test_final_size_root_to_full_relative_precision(model):
+    # evaluating g in double precision leaves a relative error of about
+    # 2 C 2^-53, where C grows like R0: near 2.5e-14 at R0 = 200
+    for R0 in np.geomspace(0.3, 200.0, 40):
+        initial, params, inc = _final_size_case(model, float(R0))
+        res = final_size_equation_solve(initial, params, inc)
+        ref = _mp_final_size_root(initial, params, inc)
+        rel = float(abs(res.s_inf - ref) / ref)
+        assert rel <= (1e-14 if R0 <= 20.0 else 1e-13), (R0, res.s_inf, ref)
+        assert res.iterations <= 70  # arithmetic halving alone needs about 1075
+
+
+@pytest.mark.parametrize("model", sorted(_FINAL_SIZE_MODELS))
+@pytest.mark.parametrize("R0", [1e3, 1e4])
+def test_final_size_root_below_the_least_double(model, R0):
+    # the true root is near e^-R0; log(S0 / x) would overflow to inf here
+    initial, params, inc = _final_size_case(model, R0)
+    res = final_size_equation_solve(initial, params, inc)
+    assert not math.isnan(res.s_inf)
+    assert 0.0 < res.s_inf <= 1e-320
+    assert res.iterations <= 70
 
 
 def test_final_size_simulate_zero_seed_and_linear_strict_bound():

@@ -163,6 +163,25 @@ R = 0.0
     assert rep["S_inf_equation"].startswith("n/a")
 
 
+def test_analyze_no_infected_names_the_initial_condition(tmp_path, capsys):
+    # the solver covers this family; it is the start that it rejects
+    scenario = tmp_path / "no-infected.ini"
+    scenario.write_text("""
+[params]
+gamma = 0.6, 0.7, 0.3
+N = 1.0
+[incidence]
+family = exponential
+beta = 0.2, 0.2, 0.1
+[initial]
+S = 1.0
+I = 0.0, 0.0, 0.0
+R = 0.0
+""", encoding="utf-8")
+    rep = _analyze_dict(capsys, "--scenario", str(scenario))
+    assert rep["S_inf_equation"] == "n/a (initial state must have S(0) > 0 and I(0) != 0)"
+
+
 def test_analyze_threshold_sir(tmp_path, capsys):
     scenario = tmp_path / "thr.ini"
     scenario.write_text("""

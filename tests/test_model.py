@@ -288,6 +288,23 @@ def test_converged_run_records_z_below_eps_z(path):
     assert traj.Z.tolist() == seq[:t + 1]
 
 
+@pytest.mark.parametrize("path", ["kernel", "generic"])
+def test_state_z_is_the_recorded_z(path):
+    # a state read back from a run has the prevalence the run recorded; with
+    # n = 10 numpy's pairwise I.sum() differs from the stop rule's
+    # sequential sum in the last digit on 61 of these 201 rows
+    n = 10
+    params = StageParams(gamma=np.full(n, 0.3), N=1.0)
+    inc = ExponentialIncidence(np.full(n, 0.02), N=1.0)
+    if path == "generic":
+        inc = CustomIncidence(inc._phi_raw, n=n, N=1.0)
+    initial = EpidemicState(S=0.99, I=[0.01] + [0.0] * (n - 1), R=0.0)
+    traj = simulate(initial, params, inc, StoppingRule(max_steps=200, eps_z=0.0, eps_s=0.0))
+    assert traj.n_steps == 200
+    for t in range(traj.n_steps + 1):
+        assert traj.state(t).Z == traj.Z[t], t
+
+
 @pytest.mark.parametrize("func, message", [
     (lambda I: math.nan if I.any() else 0.0, r"^step 0: phi = nan lies outside \[0, 1\]"),
     (lambda I: 50.0 * float(I.sum()), r"^step 1: phi = 50(\.0)? lies outside \[0, 1\]"),

@@ -9,7 +9,6 @@ import pytest
 
 from spepi import (
     ExponentialIncidence,
-    StageMatrixDecomposition,
     StageParams,
     build_B,
     nrv,
@@ -21,18 +20,27 @@ from spepi import (
 from conftest import draw_gammas
 
 
+def _dense(d):
+    """Dense T and B = T + F(a) of a decomposition, for cross-checks."""
+    T = np.diag(1.0 - d.gamma) + np.diag(d.gamma[:-1], -1)
+    B = T.copy()
+    B[0] += d.a * d.r
+    return T, B
+
+
 def test_build_B_scalar():
     params = StageParams(gamma=[0.3], N=1.0)
     d = build_B(1.0, params, [0.5])
-    np.testing.assert_allclose(d.B, [[1.2]], rtol=1e-15)
+    np.testing.assert_allclose(_dense(d)[1], [[1.2]], rtol=1e-15)
 
 
 def test_build_B_two_stage_hand_assembly():
     params = StageParams(gamma=[0.6, 0.9], N=1.0)
     d = build_B(2.0, params, [0.0, 0.5])
-    np.testing.assert_allclose(d.T, [[0.4, 0.0], [0.6, 0.1]], rtol=1e-15)
-    np.testing.assert_allclose(d.F, [[0.0, 1.0], [0.0, 0.0]], rtol=1e-15)
-    np.testing.assert_allclose(d.B, [[0.4, 1.0], [0.6, 0.1]], rtol=1e-15)
+    T, B = _dense(d)
+    np.testing.assert_allclose(T, [[0.4, 0.0], [0.6, 0.1]], rtol=1e-15)
+    np.testing.assert_allclose(B - T, [[0.0, 1.0], [0.0, 0.0]], rtol=1e-15)
+    np.testing.assert_allclose(B, [[0.4, 1.0], [0.6, 0.1]], rtol=1e-15)
 
 
 def test_build_B_fig2_left_at_full_population(figures):
@@ -43,8 +51,9 @@ def test_build_B_fig2_left_at_full_population(figures):
         [0.6, 0.3, 0.0],
         [0.0, 0.7, 0.7],
     ])
-    np.testing.assert_allclose(d.B, expected, rtol=1e-15)
-    assert np.max(np.abs(np.linalg.eigvals(d.T))) == pytest.approx(0.7, rel=1e-12)
+    T, B = _dense(d)
+    np.testing.assert_allclose(B, expected, rtol=1e-15)
+    assert np.max(np.abs(np.linalg.eigvals(T))) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_build_B_rejections():
@@ -113,7 +122,8 @@ def test_perron_two_stage_quadratic_oracle():
     pd = perron(d)
     assert pd.rho == pytest.approx(lam, rel=1e-12)
     # eigen residual and positivity
-    assert np.max(np.abs(d.B @ pd.v - pd.rho * pd.v)) <= 1e-10 * pd.rho
+    B = _dense(d)[1]
+    assert np.max(np.abs(B @ pd.v - pd.rho * pd.v)) <= 1e-10 * pd.rho
     assert np.all(pd.v > 0.0) and pd.v.sum() == pytest.approx(1.0, rel=1e-14)
 
 
@@ -125,20 +135,18 @@ def test_perron_near_cyclic_stage_matrix(g, n):
     params = StageParams(gamma=np.full(n, g), N=1.0)
     d = build_B(1.0, params, np.eye(n)[-1])
     pd = perron(d)
-    assert pd.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(d.B))), rel=1e-13)
-    assert np.max(np.abs(d.B @ pd.v - pd.rho * pd.v)) <= 1e-13 * pd.rho
+    B = _dense(d)[1]
+    assert pd.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(B))), rel=1e-13)
+    assert np.max(np.abs(B @ pd.v - pd.rho * pd.v)) <= 1e-13 * pd.rho
     assert np.all(pd.v > 0.0) and pd.v.sum() == pytest.approx(1.0, rel=1e-14)
 
 
 def test_perron_when_the_stage_shape_overflows():
     # with n = 2500 equal gammas, v(lam) overflows at bisection points below
     # the root; (lam - 1 + g)^n = g^(n-1) gives the root in closed form.
-    # perron reads only a, gamma and r, so the 2500 x 2500 matrices are
-    # left out and B v is formed from the bidiagonal structure.
+    # B v is formed from the bidiagonal structure, not a 2500 x 2500 matrix.
     n, g = 2500, 0.5
-    none = np.empty((0, 0))
-    d = StageMatrixDecomposition(a=1.0, T=none, F=none, B=none,
-                                 gamma=np.full(n, g), r=np.eye(1, n, n - 1)[0])
+    d = build_B(1.0, StageParams(gamma=np.full(n, g), N=1.0), np.eye(1, n, n - 1)[0])
     pd = perron(d)
     assert pd.rho == pytest.approx(1.0 - g + g ** ((n - 1) / n), rel=1e-13)
     Bv = (1.0 - g) * pd.v
@@ -179,8 +187,9 @@ def test_threshold_equivalence_and_sign_identities_over_draws():
     for k in range(1000):
         d, dlt = _draw_decomposition(rng, threshold=(k % 10 == 0))
         pd = perron(d)
-        assert np.max(np.abs(d.B @ pd.v - pd.rho * pd.v)) <= 1e-10 * pd.rho
-        assert pd.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(d.B))), rel=1e-13)
+        B = _dense(d)[1]
+        assert np.max(np.abs(B @ pd.v - pd.rho * pd.v)) <= 1e-10 * pd.rho
+        assert pd.rho == pytest.approx(np.max(np.abs(np.linalg.eigvals(B))), rel=1e-13)
         rep = sign_identities_check(d, pd)
         assert rep.consistent, (k, rep.mismatches)
         # threshold equivalence sign(rho - 1) = sign(a - 1/delta)

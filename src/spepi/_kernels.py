@@ -13,7 +13,9 @@ into the caller's arrays: every list entry is a boxed float, and buffers
 as long as a whole chunk (8k rows and more) raised the peak memory of a
 deep run by several MB.
 
-Incidence encoding shared with :meth:`IncidenceModel.kernel_spec`:
+Incidence encoding shared with :meth:`IncidenceModel.kernel_spec`.
+``inner_phi`` and ``outer_phi`` are the only definition of each built-in
+phi: the kernel, its twin and the model objects all evaluate through them.
 
   inner kind ``ik``:  0 linear  phi = v1 . I
                       1 exponential  phi = -expm1(-(v1 . I))
@@ -34,6 +36,31 @@ import os
 
 CONVERGED = 1
 FULL = 0
+
+
+def inner_phi(I, ik, v1, v2):
+    """The inner incidence of kind ``ik`` at stage vector ``I``."""
+    acc = 0.0
+    if ik == 2:
+        for j in range(len(I)):
+            acc += v1[j] * -math.expm1(-v2[j] * I[j])
+        return acc
+    for j in range(len(I)):
+        acc += v1[j] * I[j]
+    return acc if ik == 0 else -math.expm1(-acc)
+
+
+def outer_phi(pi, ok, op):
+    """The contact law of kind ``ok`` (1 or 2) applied to inner incidence ``pi``."""
+    if ok == 2:
+        return -math.expm1(-op[0] * pi)
+    q = 1.0 - pi
+    t = 0.0
+    phi = 0.0
+    for i in range(1, len(op)):
+        t = pi + q * t
+        phi += op[i] * t
+    return phi
 
 
 def _run_chunk_impl(S, I, R, phi_entry, gamma,
@@ -80,34 +107,12 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
             S = S_new
 
         # incidence of the current (still unrecorded) state
-        if ik == 0:
-            pi = 0.0
-            for j in range(n):
-                pi += v1[j] * I[j]
-        elif ik == 1:
-            x = 0.0
-            for j in range(n):
-                x += v1[j] * I[j]
-            pi = -math.expm1(-x)
-        else:
-            pi = 0.0
-            for j in range(n):
-                pi += v1[j] * -math.expm1(-v2[j] * I[j])
-        if ok == 0:
-            phi = pi
-        elif ok == 2:
-            phi = -math.expm1(-op[0] * pi)
-        else:
-            q = 1.0 - pi
-            t = 0.0
-            phi = 0.0
-            for i in range(1, len(op)):
-                t = pi + q * t
-                phi += op[i] * t
+        phi = inner_phi(I, ik, v1, v2)
+        if ok != 0:
+            phi = outer_phi(phi, ok, op)
 
         S_out[row] = S
-        for j in range(n):
-            I_out[row * n + j] = I[j]
+        I_out[row * n:row * n + n] = I
         R_out[row] = R
         phi_out[row] = phi
         Z_out[row] = z
@@ -164,7 +169,11 @@ def run_chunk_py(S, I, R, phi_entry, gamma,
 
 try:  # pragma: no cover - exercised indirectly
     import numba
+    from numba.extending import register_jitable
 
+    # the kernel calls both helpers, so numba must know them before it compiles
+    register_jitable(inner_phi)
+    register_jitable(outer_phi)
     run_chunk_jit = numba.njit(cache=True)(_run_chunk_impl)
     _numba_available = True
 except ImportError:  # pragma: no cover

@@ -13,6 +13,10 @@ linearly in pbar.
 
 For Poisson-distributed contacts the series collapses to the closed form
 phi(I) = 1 - exp(-lambda Pi(I)), evaluated without truncation.
+
+Both laws are evaluated by the stepping kernel's ``outer_phi``
+(:mod:`spepi._kernels`) on the value of the inner model's own phi, so a
+custom or nested inner model works too.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import outer_phi
 from .incidence import IncidenceModel
 from .model import StageParams
 from .spectral import delta
@@ -62,7 +67,7 @@ class ContactDistribution:
         if np.any(p < 0.0):
             raise ValueError("contact probabilities must be nonnegative")
         total = float(p.sum())
-        if abs(total - 1.0) > MASS_DEFICIT_TOL:
+        if not abs(total - 1.0) <= MASS_DEFICIT_TOL:  # NaN fails too
             raise ValueError(
                 f"contact probability mass {total:.17g} deviates from 1 by more than "
                 f"{MASS_DEFICIT_TOL:g}; truncate with a smaller tail"
@@ -75,8 +80,8 @@ class ContactDistribution:
     @classmethod
     def poisson(cls, lam: float) -> "ContactDistribution":
         lam = float(lam)
-        if not lam > 0.0:
-            raise ValueError("the Poisson mean must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError("the Poisson mean must be positive and finite")
         return cls(kind="poisson", p=None, lam=lam, mean=lam)
 
     @classmethod
@@ -84,8 +89,8 @@ class ContactDistribution:
                           max_count: int = 100_000) -> "ContactDistribution":
         """Finite truncation of a Poisson law with tail mass below ``tail_mass``."""
         lam = float(lam)
-        if not lam > 0.0:
-            raise ValueError("the Poisson mean must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError("the Poisson mean must be positive and finite")
         probs = [math.exp(-lam)]
         cum = probs[0]
         i = 0
@@ -98,7 +103,20 @@ class ContactDistribution:
         return cls.explicit(np.array(probs))
 
 
-class ComposedIncidence(IncidenceModel):
+class _ContactIncidence(IncidenceModel):
+    """A contact law, kernel outer kind ``_ok`` with parameters ``_op``, over ``pi_model``."""
+
+    def _phi_raw(self, I):
+        return outer_phi(self.pi_model._phi_raw(I), self._ok, self._op)
+
+    def kernel_spec(self):
+        inner = self.pi_model.kernel_spec()
+        if inner is None or inner[3] != 0:  # no nesting of composed models
+            return None
+        return (*inner[:3], self._ok, self._op)
+
+
+class ComposedIncidence(_ContactIncidence):
     """phi(I) = 1 - sum_i p_i (1 - Pi(I))^i for an explicit contact table.
 
     The sum is evaluated through the recurrence t_{i+1} = Pi + (1-Pi) t_i
@@ -106,12 +124,14 @@ class ComposedIncidence(IncidenceModel):
     """
 
     family = "contact-composed"
+    _ok = 1
 
     def __init__(self, pi_model: IncidenceModel, dist: ContactDistribution):
         if dist.kind != "explicit":
             raise ValueError("ComposedIncidence needs an explicit contact table")
         self.pi_model = pi_model
         self.dist = dist
+        self._op = dist.p
         self.n = pi_model.n
         self.N = pi_model.N
         self.r = dist.mean * pi_model.r
@@ -122,17 +142,6 @@ class ComposedIncidence(IncidenceModel):
                 f"composition is not a valid incidence: {exc} "
                 "(a contact distribution with zero mean infects nobody)"
             ) from exc
-
-    def _phi_raw(self, I):
-        pi = self.pi_model._phi_raw(I)
-        q = 1.0 - pi
-        p = self.dist.p
-        t = 0.0
-        phi = 0.0
-        for i in range(1, p.shape[0]):
-            t = pi + q * t
-            phi += p[i] * t
-        return phi
 
     def _grad_raw(self, I):
         pi = self.pi_model._phi_raw(I)
@@ -145,44 +154,29 @@ class ComposedIncidence(IncidenceModel):
             qpow *= q
         return w * np.asarray(self.pi_model._grad_raw(I), dtype=float)
 
-    def kernel_spec(self):
-        inner = self.pi_model.kernel_spec()
-        if inner is None or inner[3] != 0:  # no nesting of composed models
-            return None
-        ik, v1, v2, _, _ = inner
-        return (ik, v1, v2, 1, self.dist.p)
 
-
-class PoissonContactIncidence(IncidenceModel):
+class PoissonContactIncidence(_ContactIncidence):
     """phi(I) = 1 - exp(-lambda Pi(I)): Poisson contacts in closed form."""
 
     family = "poisson-composed"
+    _ok = 2
 
     def __init__(self, lam: float, pi_model: IncidenceModel):
         lam = float(lam)
-        if not lam > 0.0:
-            raise ValueError("the Poisson mean must be positive")
+        if not 0.0 < lam < math.inf:
+            raise ValueError("the Poisson mean must be positive and finite")
         self.lam = lam
+        self._op = np.array([lam])
         self.pi_model = pi_model
         self.n = pi_model.n
         self.N = pi_model.N
         self.r = lam * pi_model.r
         self._finalize()
 
-    def _phi_raw(self, I):
-        return -math.expm1(-self.lam * self.pi_model._phi_raw(I))
-
     def _grad_raw(self, I):
         pi = self.pi_model._phi_raw(I)
         g = np.asarray(self.pi_model._grad_raw(I), dtype=float)
         return self.lam * math.exp(-self.lam * pi) * g
-
-    def kernel_spec(self):
-        inner = self.pi_model.kernel_spec()
-        if inner is None or inner[3] != 0:
-            return None
-        ik, v1, v2, _, _ = inner
-        return (ik, v1, v2, 2, np.array([self.lam]))
 
 
 def compose_incidence(pi_model: IncidenceModel, dist: ContactDistribution) -> IncidenceModel:

@@ -22,10 +22,13 @@ Built-in families:
 
 Contact-composed families live in :mod:`spepi.contacts`.
 
-All exponential evaluations go through ``expm1``.  The naive form
-``1 - exp(-x)`` has absolute granularity ~1e-16, which injects a spurious
-floor into long simulations (the infected classes then never decay below
-~1e-16 and the trajectory acquires a fake endemic equilibrium).
+Each built-in family is evaluated by the stepping kernel's
+``inner_phi``/``outer_phi`` (:mod:`spepi._kernels`), the one definition
+of its formula.  All exponential evaluations go through ``expm1``.  The
+naive form ``1 - exp(-x)`` has absolute granularity ~1e-16, which injects
+a spurious floor into long simulations (the infected classes then never
+decay below ~1e-16 and the trajectory acquires a fake endemic
+equilibrium).
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from ._kernels import inner_phi
 
 __all__ = [
     "DomainError",
@@ -52,6 +57,10 @@ __all__ = [
 # runs must not poison domain checks.
 U_TOLERANCE = 1e-12
 
+# the unused vector slots of a kernel encoding
+_EMPTY = np.zeros(0)
+_EMPTY.flags.writeable = False
+
 
 class DomainError(ValueError):
     """Raised when an infected-stage vector lies outside the admissible set."""
@@ -66,9 +75,19 @@ def _as_vector(x, name: str, n: Optional[int] = None) -> np.ndarray:
         raise ValueError(f"{name} must be a nonempty 1-d vector")
     if n is not None and v.size != n:
         raise ValueError(f"{name} must have length {n}, got {v.size}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
     v = v.copy()
     v.flags.writeable = False
     return v
+
+
+def _population(N) -> float:
+    """``N`` as a float, checked to be positive and finite."""
+    N = float(N)
+    if not 0.0 < N < math.inf:
+        raise ValueError(f"N must be positive and finite, got {N!r}")
+    return N
 
 
 def _fd_slope(f, h: float, up_ok: bool, down_ok: bool) -> float:
@@ -88,15 +107,19 @@ def _fd_slope(f, h: float, up_ok: bool, down_ok: bool) -> float:
 class IncidenceModel:
     """Base class for incidence functions.
 
-    Subclasses implement ``_phi_raw`` and ``_grad_raw`` on the admissible
-    set and set ``family``, ``n``, ``N`` and ``r`` at construction.  The
-    public ``phi``/``grad`` wrappers enforce the domain contract.
+    Subclasses implement ``_grad_raw`` on the admissible set and set
+    ``family``, ``n``, ``N`` and ``r`` at construction.  A built-in family
+    gives its kernel encoding ``_encoding = (ik, v1, v2)`` (see
+    :mod:`spepi._kernels`), from which ``_phi_raw`` and ``kernel_spec``
+    follow; a custom model overrides ``_phi_raw`` instead.  The public
+    ``phi``/``grad`` wrappers enforce the domain contract.
     """
 
     family: str = "abstract"
     n: int
     N: float
     r: np.ndarray
+    _encoding: Optional[tuple] = None
 
     def _check_domain(self, I: np.ndarray) -> np.ndarray:
         I = np.asarray(I, dtype=float)
@@ -117,14 +140,14 @@ class IncidenceModel:
 
         Returns exactly 0.0 at I = 0 and a value in [0, 1) elsewhere on
         the admissible set.  Raises :class:`DomainError` outside it, and
-        when the value is NaN or outside [0, 1].
+        when the value is NaN or outside [0, 1).
         """
         I = self._check_domain(I)
         if not I.any():
             return 0.0
         value = float(self._phi_raw(I))
-        if not 0.0 <= value <= 1.0:
-            raise DomainError(f"phi = {value!r} lies outside [0, 1]")
+        if not 0.0 <= value < 1.0:
+            raise DomainError(f"phi = {value!r} lies outside [0, 1)")
         return value
 
     def grad(self, I) -> np.ndarray:
@@ -133,7 +156,7 @@ class IncidenceModel:
         return np.asarray(self._grad_raw(I), dtype=float)
 
     def _phi_raw(self, I: np.ndarray) -> float:
-        raise NotImplementedError
+        return inner_phi(I, *self._encoding)
 
     def _grad_raw(self, I: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -145,7 +168,9 @@ class IncidenceModel:
         models the kernel can evaluate, or ``None`` to force the generic
         Python stepping path (custom callables).
         """
-        return None
+        if self._encoding is None:
+            return None
+        return (*self._encoding, 0, _EMPTY)
 
     def _finalize(self) -> None:
         """Validate the cached gradient at zero.  Call last in __init__."""
@@ -174,26 +199,15 @@ class ExponentialIncidence(IncidenceModel):
     def __init__(self, beta, N: float):
         self.beta = _as_vector(beta, "beta")
         self.n = self.beta.size
-        self.N = float(N)
-        if self.N <= 0.0:
-            raise ValueError("N must be positive")
+        self.N = _population(N)
         if np.any(self.beta < 0.0) or not self.beta[-1] > 0.0:
             raise ValueError("beta must be nonnegative with beta_n > 0")
         self.r = self.beta
+        self._encoding = (1, self.beta, _EMPTY)
         self._finalize()
-
-    def _phi_raw(self, I):
-        # sequential accumulation, matching the kernel bit for bit
-        x = 0.0
-        for j in range(self.n):
-            x += self.beta[j] * I[j]
-        return -math.expm1(-x)
 
     def _grad_raw(self, I):
         return math.exp(-float(self.beta @ I)) * self.beta
-
-    def kernel_spec(self):
-        return (1, self.beta, np.zeros(0), 0, np.zeros(0))
 
 
 class LinearIncidence(IncidenceModel):
@@ -204,9 +218,7 @@ class LinearIncidence(IncidenceModel):
     def __init__(self, beta, N: float):
         self.beta = _as_vector(beta, "beta")
         self.n = self.beta.size
-        self.N = float(N)
-        if self.N <= 0.0:
-            raise ValueError("N must be positive")
+        self.N = _population(N)
         if np.any(self.beta < 0.0) or not self.beta[-1] > 0.0:
             raise ValueError("beta must be nonnegative with beta_n > 0")
         if self.beta.sum() > 1.0 / self.N:
@@ -215,19 +227,11 @@ class LinearIncidence(IncidenceModel):
                 "linear incidence would leave [0, 1) on the admissible set"
             )
         self.r = self.beta
+        self._encoding = (0, self.beta, _EMPTY)
         self._finalize()
-
-    def _phi_raw(self, I):
-        x = 0.0
-        for j in range(self.n):
-            x += self.beta[j] * I[j]
-        return x
 
     def _grad_raw(self, I):
         return self.beta.copy()
-
-    def kernel_spec(self):
-        return (0, self.beta, np.zeros(0), 0, np.zeros(0))
 
 
 class SplitExponentialIncidence(IncidenceModel):
@@ -243,9 +247,7 @@ class SplitExponentialIncidence(IncidenceModel):
         self.theta = _as_vector(theta, "theta")
         self.beta = _as_vector(beta, "beta", self.theta.size)
         self.n = self.beta.size
-        self.N = float(N)
-        if self.N <= 0.0:
-            raise ValueError("N must be positive")
+        self.N = _population(N)
         if np.any(self.theta <= 0.0) or np.any(self.theta >= 1.0):
             raise ValueError("theta components must lie in (0, 1)")
         if abs(self.theta.sum() - 1.0) > 1e-12:
@@ -253,19 +255,11 @@ class SplitExponentialIncidence(IncidenceModel):
         if np.any(self.beta < 0.0) or not self.beta[-1] > 0.0:
             raise ValueError("beta must be nonnegative with beta_n > 0")
         self.r = self.theta * self.beta
+        self._encoding = (2, self.theta, self.beta)
         self._finalize()
-
-    def _phi_raw(self, I):
-        acc = 0.0
-        for j in range(self.n):
-            acc += self.theta[j] * -math.expm1(-self.beta[j] * I[j])
-        return acc
 
     def _grad_raw(self, I):
         return self.theta * self.beta * np.exp(-self.beta * I)
-
-    def kernel_spec(self):
-        return (2, self.theta, self.beta, 0, np.zeros(0))
 
 
 class LastClassIncidence(IncidenceModel):
@@ -295,9 +289,7 @@ class LastClassIncidence(IncidenceModel):
         if n < 1:
             raise ValueError("n must be at least 1")
         self.n = int(n)
-        self.N = float(N)
-        if self.N <= 0.0:
-            raise ValueError("N must be positive")
+        self.N = _population(N)
         self.kind = kind
         self.beta = float(beta)
         self._func = func
@@ -307,26 +299,29 @@ class LastClassIncidence(IncidenceModel):
                 raise ValueError("linear last-class profile needs 0 < beta <= 1/N")
             rn = self.beta
         elif kind == "exponential":
-            if not self.beta > 0.0:
-                raise ValueError("exponential last-class profile needs beta > 0")
+            if not 0.0 < self.beta < math.inf:
+                raise ValueError("exponential last-class profile needs finite beta > 0")
             rn = self.beta
         elif kind == "custom":
             if func is None:
                 raise ValueError("custom last-class profile needs func")
+            z = float(func(0.0))
+            if not abs(z) <= 1e-14:  # NaN fails too
+                raise ValueError(f"f(0) must be 0, got {z:.3e}")
             rn = deriv(0.0) if deriv is not None else self._fd_deriv(0.0)
         else:
             raise ValueError(f"unknown last-class kind {kind!r}")
         self.r = np.zeros(self.n)
         self.r[-1] = rn
         self._finalize()
+        if kind != "custom":
+            self._encoding = (0 if kind == "linear" else 1, self.r, _EMPTY)
 
     def scalar_phi(self, x: float) -> float:
         """The scalar profile f applied to the last-stage size."""
-        if self.kind == "linear":
-            return self.beta * x
-        if self.kind == "exponential":
-            return -math.expm1(-self.beta * x)
-        return float(self._func(x))
+        if self._encoding is None:
+            return float(self._func(x))
+        return inner_phi((x,), self._encoding[0], (self.beta,), ())
 
     def scalar_deriv(self, x: float) -> float:
         if self.kind == "linear":
@@ -342,22 +337,14 @@ class LastClassIncidence(IncidenceModel):
         return _fd_slope(lambda s: self._func(x + s), h, x + h <= self.N, x - h >= 0.0)
 
     def _phi_raw(self, I):
-        return self.scalar_phi(float(I[-1]))
+        if self._encoding is None:  # the custom profile
+            return self.scalar_phi(float(I[-1]))
+        return super()._phi_raw(I)
 
     def _grad_raw(self, I):
         g = np.zeros(self.n)
         g[-1] = self.scalar_deriv(float(I[-1]))
         return g
-
-    def kernel_spec(self):
-        b = np.zeros(self.n)
-        b[-1] = self.beta
-        b.flags.writeable = False
-        if self.kind == "linear":
-            return (0, b, np.zeros(0), 0, np.zeros(0))
-        if self.kind == "exponential":
-            return (1, b, np.zeros(0), 0, np.zeros(0))
-        return None
 
 
 class CustomIncidence(IncidenceModel):
@@ -385,9 +372,7 @@ class CustomIncidence(IncidenceModel):
         if n < 1:
             raise ValueError("n must be at least 1")
         self.n = int(n)
-        self.N = float(N)
-        if self.N <= 0.0:
-            raise ValueError("N must be positive")
+        self.N = _population(N)
         self._func = func
         self._grad = grad
         z = float(func(np.zeros(self.n)))
@@ -521,7 +506,7 @@ def validate_regularity(model: IncidenceModel, grid_density: int = 9) -> Regular
 
     n, N = model.n, model.N
     try:
-        z = model.phi(np.zeros(n))
+        z = float(model._phi_raw(np.zeros(n)))
     except Exception as exc:  # pragma: no cover - defensive
         report.zero_ok = False
         report.failures.append(f"phi(0) raised {exc!r}")

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .incidence import DomainError, IncidenceModel, _as_vector
+from .incidence import DomainError, IncidenceModel, _as_vector, _population
 
 __all__ = [
     "StageParams",
@@ -55,7 +55,7 @@ class StageParams:
     Args:
         gamma: per-stage progression probabilities, each strictly inside
             (0, 1); the length determines the number of stages n.
-        N: total (constant) population, > 0.
+        N: total (constant) population, finite and > 0.
     """
 
     gamma: np.ndarray
@@ -66,9 +66,7 @@ class StageParams:
         if np.any(g <= 0.0) or np.any(g >= 1.0):
             raise ValueError("every progression probability must lie in (0, 1)")
         object.__setattr__(self, "gamma", g)
-        object.__setattr__(self, "N", float(self.N))
-        if not self.N > 0.0:
-            raise ValueError("total population N must be positive")
+        object.__setattr__(self, "N", _population(self.N))
 
     @property
     def n(self) -> int:
@@ -77,7 +75,7 @@ class StageParams:
 
 @dataclass(frozen=True)
 class EpidemicState:
-    """One (S, I, R) configuration; components are nonnegative."""
+    """One (S, I, R) configuration; components are finite and nonnegative."""
 
     S: float
     I: np.ndarray
@@ -88,8 +86,8 @@ class EpidemicState:
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "S", float(self.S))
         object.__setattr__(self, "R", float(self.R))
-        if self.S < 0.0 or self.R < 0.0 or np.any(I < 0.0):
-            raise ValueError("state components must be nonnegative")
+        if not (0.0 <= self.S < math.inf and 0.0 <= self.R < math.inf) or np.any(I < 0.0):
+            raise ValueError("state components must be finite and nonnegative")
 
     @property
     def Z(self) -> float:
@@ -136,8 +134,8 @@ class StoppingRule:
             raise ValueError("max_steps must be at least 1")
         eps_z = DEFAULT_EPS_Z_REL * N if self.eps_z is None else float(self.eps_z)
         eps_s = DEFAULT_EPS_S_REL * N if self.eps_s is None else float(self.eps_s)
-        if eps_z < 0.0 or eps_s < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (eps_z >= 0.0 and eps_s >= 0.0):  # NaN fails too
+            raise ValueError(f"tolerances must be nonnegative, got {eps_z!r} and {eps_s!r}")
         return int(self.max_steps), eps_z, eps_s
 
 

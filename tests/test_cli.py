@@ -354,6 +354,48 @@ def test_bad_scenario_exit_code(tmp_path, capsys):
     assert main(["analyze", "--scenario", str(bad)]) == 1
 
 
+_TWO_STAGE = """
+[params]
+gamma = 0.5, 0.5
+N = 1.0
+[incidence]
+family = exponential
+beta = 0.5, 0.5
+[initial]
+S = 0.99
+I = 0.01, 0.0
+R = 0.0
+[stopping]
+eps_z = 1e-12
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("section, line", [
+    ("params", "gamma = nan, 0.5"),
+    ("params", "N = inf"),
+    ("incidence", "beta = nan, 0.5"),
+    ("initial", "S = nan"),
+    ("initial", "I = inf, 0.0"),
+    ("initial", "R = nan"),
+    ("stopping", "eps_z = nan"),
+])
+def test_non_finite_scenario_value_exits_1(tmp_path, capsys, section, line, command):
+    # with S = nan, simulate used to run all max_steps and write
+    # S_inf_estimate = nan, and analyze printed lower_bound = nan; both exited 0
+    key = line.split(" = ")[0]
+    text = "\n".join(line if row.split(" = ")[0] == key else row
+                     for row in _TWO_STAGE.splitlines())
+    assert line in text.splitlines()
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "o.csv"
+    args = ["--out", str(out)] if command == "simulate" else []
+    assert main([command, "--scenario", str(bad), *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {section}")
+    assert not out.exists()
+
+
 def test_io_error_exit_code(tmp_path):
     assert main(["simulate", "--scenario", "fig2-left",
                  "--out", str(tmp_path / "no" / "dir" / "o.csv")]) == 3

@@ -10,14 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spepi import (
+    ContactDistribution,
     CustomIncidence,
     DomainError,
+    EpidemicState,
     ExponentialIncidence,
     LastClassIncidence,
     LinearIncidence,
     SplitExponentialIncidence,
+    StageParams,
     validate_regularity,
 )
+from spepi.incidence import IncidenceModel
+from spepi.model import StoppingRule
 
 FIG2_LEFT_BETA = [0.2, 0.2, 0.1]
 
@@ -92,6 +97,33 @@ def test_constructor_rejections():
         CustomIncidence(lambda I: 0.01 + I.sum(), n=1, N=1.0)  # phi(0) != 0
     with pytest.raises(ValueError, match="phi\\(0\\) must be 0"):
         CustomIncidence(lambda I: math.nan, n=2, N=1.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StageParams(gamma=[NAN, 0.5], N=1.0),
+    lambda: StageParams(gamma=[0.5, 0.5], N=INF),
+    lambda: EpidemicState(S=NAN, I=[0.01, 0.0], R=0.0),
+    lambda: EpidemicState(S=0.99, I=[INF, 0.0], R=0.0),
+    lambda: EpidemicState(S=0.99, I=[0.01, 0.0], R=NAN),
+    lambda: ExponentialIncidence([NAN, 0.5], N=1.0),
+    lambda: LinearIncidence([NAN, 0.5], N=1.0),
+    lambda: SplitExponentialIncidence([NAN, 0.5], [1.0, 1.0], N=1.0),
+    lambda: ExponentialIncidence([0.2, 0.5], N=NAN),
+    lambda: LastClassIncidence(n=2, N=1.0, kind="exponential", beta=INF),
+    lambda: CustomIncidence(lambda I: 0.5 * I[-1], n=2, N=INF),
+    lambda: ContactDistribution.explicit([0.5, NAN, 0.5]),
+    lambda: ContactDistribution.poisson(INF),
+    lambda: StoppingRule(eps_z=NAN).resolve(1.0),
+], ids=["gamma", "N", "S", "I", "R", "beta-exponential", "beta-linear", "theta",
+        "N-incidence", "beta-last-class", "N-custom", "contact-p", "lambda", "eps_z"])
+def test_non_finite_inputs_are_rejected(build):
+    # each of these used to build, and a NaN S, for one, ran all max_steps
+    # to S_inf = nan
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_last_class_profiles():
@@ -171,6 +203,34 @@ def test_validate_overlinear_range_failure():
     assert not rep.range_ok
     assert not rep.passed
     assert any("outside [0, 1)" in msg for msg in rep.failures)
+
+
+def test_last_class_custom_profile_needs_f0_zero():
+    with pytest.raises(ValueError, match="f\\(0\\) must be 0"):
+        LastClassIncidence(n=2, N=1.0, kind="custom", func=lambda x: 0.1 + 0.5 * x)
+    with pytest.raises(ValueError, match="f\\(0\\) must be 0"):
+        LastClassIncidence(n=2, N=1.0, kind="custom", func=lambda x: math.nan)
+
+
+def test_validate_zero_check_evaluates_the_model():
+    # phi() returns 0.0 at I = 0 without asking the model, so the check must
+    # evaluate _phi_raw itself
+    class Offset(IncidenceModel):
+        family = "offset"
+
+        def __init__(self):
+            self.n, self.N, self.r = 1, 1.0, np.array([0.5])
+
+        def _phi_raw(self, I):
+            return 0.1 + 0.5 * float(I[0])
+
+        def _grad_raw(self, I):
+            return np.array([0.5])
+
+    rep = validate_regularity(Offset(), grid_density=3)
+    assert not rep.zero_ok
+    assert not rep.passed
+    assert "phi(0) = 1.000e-01 != 0" in rep.failures
 
 
 def test_validate_convex_profile_fails_concavity():

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
+import math
+import sys
+import types
+
 import numpy as np
 import pytest
 
 import spepi._kernels as kernels
 from spepi import (
     ContactDistribution,
+    CustomIncidence,
     ExponentialIncidence,
     LastClassIncidence,
     LinearIncidence,
@@ -117,6 +123,80 @@ def test_composed_kernel_full_run_matches_generic_path():
     np.testing.assert_array_equal(a.S, b.S)
     np.testing.assert_array_equal(a.I, b.I)
     np.testing.assert_array_equal(a.phi, b.phi)
+
+
+def test_numba_branch_registers_both_phi_helpers(monkeypatch):
+    # a stub numba records the order of calls; the kernel may only be
+    # compiled once both helpers it calls are registered
+    calls = []
+
+    def njit(**options):
+        def compile_(fn):
+            calls.append(("njit", fn.__name__))
+            return fn
+        return compile_
+
+    stub = types.ModuleType("numba")
+    stub.njit = njit
+    stub.extending = types.ModuleType("numba.extending")
+    stub.extending.register_jitable = lambda fn: calls.append(("register", fn)) or fn
+    monkeypatch.setitem(sys.modules, "numba", stub)
+    monkeypatch.setitem(sys.modules, "numba.extending", stub.extending)
+    monkeypatch.delenv("SPEPI_DISABLE_NUMBA", raising=False)
+    mod = importlib.reload(kernels)
+    try:
+        assert calls == [("register", mod.inner_phi), ("register", mod.outer_phi),
+                         ("njit", "_run_chunk_impl")]
+        assert mod.using_numba is True
+        assert mod.run_chunk is mod.run_chunk_jit
+    finally:
+        monkeypatch.undo()
+        importlib.reload(kernels)
+
+
+INNER_MODELS = [
+    LinearIncidence([0.3, 0.4], N),
+    ExponentialIncidence([0.5, 1.0], N),
+    SplitExponentialIncidence([0.4, 0.6], [1.2, 0.7], N),
+]
+CONTACT_LAWS = [
+    ContactDistribution.explicit([0.1, 0.5, 0.3, 0.1]),
+    ContactDistribution.poisson(2.5),
+]
+
+
+@pytest.mark.parametrize("dist", CONTACT_LAWS, ids=["ok1", "ok2"])
+@pytest.mark.parametrize("inner", INNER_MODELS, ids=["ik0", "ik1", "ik2"])
+def test_composition_over_a_custom_inner_model_matches_the_kernel(inner, dist):
+    # over a custom mirror of the inner model the composition has no kernel
+    # encoding, so the generic path evaluates it through outer_phi on the
+    # mirror's value; the kernel must give the same trajectory bit for bit
+    mirror = CustomIncidence(inner._phi_raw, n=inner.n, N=N)
+    built_in = compose_incidence(inner, dist)
+    generic = compose_incidence(mirror, dist)
+    assert built_in.kernel_spec()[3] in (1, 2) and generic.kernel_spec() is None
+    params = StageParams(gamma=[0.45, 0.75], N=N)
+    initial = EpidemicState(S=0.98, I=[0.015, 0.005], R=0.0)
+    a = simulate(initial, params, built_in, StoppingRule())
+    b = simulate(initial, params, generic, StoppingRule())
+    assert a.stop_reason == b.stop_reason == "converged"
+    for field in ("S", "I", "R", "phi", "Z"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+
+
+@pytest.mark.parametrize("kind", ["linear", "exponential"])
+def test_last_class_scalar_phi_is_phi_on_the_last_stage(kind):
+    rng = np.random.default_rng(3)
+    n = 3
+    for beta in rng.uniform(0.05, 1.0, 20):
+        inc = LastClassIncidence(n=n, N=N, kind=kind, beta=float(beta))
+        xs = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308]
+        xs += rng.uniform(0.0, 1.0, 50).tolist() + (10.0 ** rng.uniform(-300, 0, 50)).tolist()
+        for x in xs:
+            got = inc.scalar_phi(x)
+            want = inc.phi([0.0] * (n - 1) + [x])
+            assert got.hex() == want.hex(), (kind, beta, x)
+            assert math.isfinite(got)
 
 
 @pytest.mark.parametrize("cap", [1, 3])

@@ -306,12 +306,14 @@ def test_state_z_is_the_recorded_z(path):
 
 
 @pytest.mark.parametrize("func, message", [
-    (lambda I: math.nan if I.any() else 0.0, r"^step 0: phi = nan lies outside \[0, 1\]"),
-    (lambda I: 50.0 * float(I.sum()), r"^step 1: phi = 50(\.0)? lies outside \[0, 1\]"),
-], ids=["nan", "fifty-Z"])
+    (lambda I: math.nan if I.any() else 0.0, r"^step 0: phi = nan lies outside \[0, 1\)"),
+    (lambda I: 50.0 * float(I.sum()), r"^step 0: phi = 1\.0 lies outside \[0, 1\)"),
+    (lambda I: 1.0 if I.any() else 0.0, r"^step 0: phi = 1\.0 lies outside \[0, 1\)"),
+], ids=["nan", "fifty-Z", "one"])
 def test_generic_path_rejects_invalid_phi(func, message):
     # unchecked, a NaN phi runs all max_steps to S_inf = nan, and phi = 50 Z
-    # empties S in one step and then "converges" with S_inf = 0
+    # (1.0 at Z(0) = 0.02) or phi = 1 empties S in one step and then
+    # "converges" with S_inf = 0
     params = StageParams(gamma=[0.5, 0.5], N=1.0)
     inc = CustomIncidence(func, n=2, N=1.0, grad=lambda I: [1.0, 1.0])
     initial = EpidemicState(S=0.98, I=[0.02, 0.0], R=0.0)

@@ -57,7 +57,6 @@ from .prevalence import (
 from .contacts import (
     ComposedIncidence,
     ContactDistribution,
-    PoissonContactIncidence,
     compose_incidence,
     poisson_incidence,
     r0_with_contacts,
@@ -80,7 +79,7 @@ __all__ = [
     "PrevalenceShape", "classify_shape", "initial_rise_predicate_general",
     "is_rise_then_fall", "outbreak_predicate_lastclass",
     "monotone_decay_ratio_check", "threshold_decay_predicate",
-    "ComposedIncidence", "ContactDistribution", "PoissonContactIncidence",
+    "ComposedIncidence", "ContactDistribution",
     "compose_incidence", "poisson_incidence", "r0_with_contacts",
     "Scenario", "figure_scenarios", "load_scenario", "save_scenario",
 ]

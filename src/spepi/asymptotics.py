@@ -52,9 +52,7 @@ DIRECTION_FLOOR = 1e-250
 @dataclass(frozen=True)
 class FinalSizeResult:
     s_inf: float
-    method: str  # "equation-root" | "simulated"
     iterations: int
-    bounds: "FinalSizeBounds"
 
 
 @dataclass(frozen=True)
@@ -139,10 +137,7 @@ def final_size_equation_solve(
             "no sign change on the final-size bracket; initial condition violated"
         )
     root, halvings = _bisect(lambda x: not g(x) > 0.0, math.ulp(0.0), hi)
-    return FinalSizeResult(
-        s_inf=root, method="equation-root", iterations=halvings,
-        bounds=final_size_bounds(initial, params, incidence),
-    )
+    return FinalSizeResult(s_inf=root, iterations=halvings)
 
 
 def final_size_simulate(
@@ -164,10 +159,7 @@ def final_size_simulate(
         raise RuntimeError(
             f"no convergence within {stopping.max_steps} steps; cannot read S_inf"
         )
-    return FinalSizeResult(
-        s_inf=traj.S_inf, method="simulated", iterations=traj.n_steps,
-        bounds=final_size_bounds(initial, params, incidence),
-    )
+    return FinalSizeResult(s_inf=traj.S_inf, iterations=traj.n_steps)
 
 
 @dataclass(frozen=True)

@@ -325,7 +325,7 @@ def cmd_reproduce_figures(args) -> int:
 
 def cmd_validate(args) -> int:
     scenario = _resolve_scenario(args.scenario)
-    report = validate_regularity(scenario.incidence, grid_density=args.grid_density)
+    report = validate_regularity(scenario.incidence)
     print(f"family = {report.family}")
     print(f"analytic = {report.analytic}")
     print(f"range_ok = {report.range_ok}")
@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="incidence regularity report")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--grid-density", type=int, default=9)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -14,9 +14,11 @@ linearly in pbar.
 For Poisson-distributed contacts the series collapses to the closed form
 phi(I) = 1 - exp(-lambda Pi(I)), evaluated without truncation.
 
-Both laws are evaluated by the stepping kernel's ``outer_phi``
-(:mod:`spepi._kernels`) on the value of the inner model's own phi, so a
-custom or nested inner model works too.
+One class, :class:`ComposedIncidence`, serves both laws and reads its
+family name and kernel encoding from the :class:`ContactDistribution`.
+The stepping kernel's ``outer_phi`` (:mod:`spepi._kernels`) evaluates the
+law on the value of the inner model's own phi, so a custom or nested inner
+model works too, and a composition is closed-form when its inner model is.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .spectral import delta
 __all__ = [
     "ContactDistribution",
     "ComposedIncidence",
-    "PoissonContactIncidence",
     "compose_incidence",
     "poisson_incidence",
     "r0_with_contacts",
@@ -85,53 +86,44 @@ class ContactDistribution:
         return cls(kind="poisson", p=None, lam=lam, mean=lam)
 
     @classmethod
-    def poisson_truncated(cls, lam: float, tail_mass: float = 1e-12,
-                          max_count: int = 100_000) -> "ContactDistribution":
-        """Finite truncation of a Poisson law with tail mass below ``tail_mass``."""
+    def poisson_truncated(cls, lam: float, tail_mass: float = 1e-12) -> "ContactDistribution":
+        """Finite truncation of a Poisson law with tail mass below ``tail_mass``.
+
+        Raises ValueError when the partial sum stops growing short of
+        1 - ``tail_mass``, as it does from the start once exp(-lam)
+        underflows to 0.
+        """
         lam = float(lam)
         if not 0.0 < lam < math.inf:
             raise ValueError("the Poisson mean must be positive and finite")
         probs = [math.exp(-lam)]
         cum = probs[0]
-        i = 0
         while cum < 1.0 - tail_mass:
-            i += 1
-            if i > max_count:
+            probs.append(probs[-1] * lam / len(probs))
+            grown = cum + probs[-1]
+            if grown == cum:
                 raise ValueError("truncation did not reach the requested tail mass")
-            probs.append(probs[-1] * lam / i)
-            cum += probs[-1]
+            cum = grown
         return cls.explicit(np.array(probs))
 
 
-class _ContactIncidence(IncidenceModel):
-    """A contact law, kernel outer kind ``_ok`` with parameters ``_op``, over ``pi_model``."""
+class ComposedIncidence(IncidenceModel):
+    """phi(I) = 1 - sum_i p_i (1 - Pi(I))^i: a contact law over ``pi_model``.
 
-    def _phi_raw(self, I):
-        return outer_phi(self.pi_model._phi_raw(I), self._ok, self._op)
-
-    def kernel_spec(self):
-        inner = self.pi_model.kernel_spec()
-        if inner is None or inner[3] != 0:  # no nesting of composed models
-            return None
-        return (*inner[:3], self._ok, self._op)
-
-
-class ComposedIncidence(_ContactIncidence):
-    """phi(I) = 1 - sum_i p_i (1 - Pi(I))^i for an explicit contact table.
-
-    The sum is evaluated through the recurrence t_{i+1} = Pi + (1-Pi) t_i
-    on t_i = 1 - (1-Pi)^i, which is cancellation-free down to tiny Pi.
+    An explicit table is summed through the recurrence
+    t_{i+1} = Pi + (1-Pi) t_i on t_i = 1 - (1-Pi)^i, which is
+    cancellation-free down to tiny Pi; a Poisson law with mean lambda is
+    the closed form 1 - exp(-lambda Pi(I)).
     """
 
-    family = "contact-composed"
-    _ok = 1
-
     def __init__(self, pi_model: IncidenceModel, dist: ContactDistribution):
-        if dist.kind != "explicit":
-            raise ValueError("ComposedIncidence needs an explicit contact table")
         self.pi_model = pi_model
         self.dist = dist
-        self._op = dist.p
+        # the family name and the kernel's outer kind and parameters
+        if dist.kind == "poisson":
+            self.family, self._ok, self._op = "poisson-composed", 2, np.array([dist.lam])
+        else:
+            self.family, self._ok, self._op = "contact-composed", 1, dist.p
         self.n = pi_model.n
         self.N = pi_model.N
         self.r = dist.mean * pi_model.r
@@ -143,8 +135,20 @@ class ComposedIncidence(_ContactIncidence):
                 "(a contact distribution with zero mean infects nobody)"
             ) from exc
 
+    @property
+    def analytic(self) -> bool:
+        # composition preserves the conditions whenever Pi satisfies them
+        return self.pi_model.analytic
+
+    def _phi_raw(self, I):
+        return outer_phi(self.pi_model._phi_raw(I), self._ok, self._op)
+
     def _grad_raw(self, I):
         pi = self.pi_model._phi_raw(I)
+        g = np.asarray(self.pi_model._grad_raw(I), dtype=float)
+        if self._ok == 2:
+            lam = self.dist.lam
+            return lam * math.exp(-lam * pi) * g
         q = 1.0 - pi
         p = self.dist.p
         w = 0.0
@@ -152,47 +156,23 @@ class ComposedIncidence(_ContactIncidence):
         for i in range(1, p.shape[0]):
             w += i * p[i] * qpow
             qpow *= q
-        return w * np.asarray(self.pi_model._grad_raw(I), dtype=float)
+        return w * g
+
+    def kernel_spec(self):
+        inner = self.pi_model.kernel_spec()
+        if inner is None or inner[3] != 0:  # no nesting of composed models
+            return None
+        return (*inner[:3], self._ok, self._op)
 
 
-class PoissonContactIncidence(_ContactIncidence):
-    """phi(I) = 1 - exp(-lambda Pi(I)): Poisson contacts in closed form."""
-
-    family = "poisson-composed"
-    _ok = 2
-
-    def __init__(self, lam: float, pi_model: IncidenceModel):
-        lam = float(lam)
-        if not 0.0 < lam < math.inf:
-            raise ValueError("the Poisson mean must be positive and finite")
-        self.lam = lam
-        self._op = np.array([lam])
-        self.pi_model = pi_model
-        self.n = pi_model.n
-        self.N = pi_model.N
-        self.r = lam * pi_model.r
-        self._finalize()
-
-    def _grad_raw(self, I):
-        pi = self.pi_model._phi_raw(I)
-        g = np.asarray(self.pi_model._grad_raw(I), dtype=float)
-        return self.lam * math.exp(-self.lam * pi) * g
-
-
-def compose_incidence(pi_model: IncidenceModel, dist: ContactDistribution) -> IncidenceModel:
-    """Compose a per-contact infection probability with a contact law.
-
-    Explicit tables yield a :class:`ComposedIncidence`; Poisson laws take
-    the exact closed-form path (no truncation).
-    """
-    if dist.kind == "poisson":
-        return PoissonContactIncidence(dist.lam, pi_model)
+def compose_incidence(pi_model: IncidenceModel, dist: ContactDistribution) -> ComposedIncidence:
+    """Compose a per-contact infection probability with a contact law."""
     return ComposedIncidence(pi_model, dist)
 
 
-def poisson_incidence(lam: float, pi_model: IncidenceModel) -> PoissonContactIncidence:
+def poisson_incidence(lam: float, pi_model: IncidenceModel) -> ComposedIncidence:
     """Closed-form Poisson-contact incidence with mean ``lam``."""
-    return PoissonContactIncidence(lam, pi_model)
+    return ComposedIncidence(pi_model, ContactDistribution.poisson(lam))
 
 
 def r0_with_contacts(

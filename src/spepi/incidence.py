@@ -20,15 +20,17 @@ Built-in families:
   LastClassIncidence          phi(I) = f(I_n) for a scalar f
   CustomIncidence             user-supplied callable (+ optional gradient)
 
-Contact-composed families live in :mod:`spepi.contacts`.
+Contact compositions over any of these live in :mod:`spepi.contacts`.
 
-Each built-in family is evaluated by the stepping kernel's
-``inner_phi``/``outer_phi`` (:mod:`spepi._kernels`), the one definition
-of its formula.  All exponential evaluations go through ``expm1``.  The
-naive form ``1 - exp(-x)`` has absolute granularity ~1e-16, which injects
-a spurious floor into long simulations (the infected classes then never
-decay below ~1e-16 and the trajectory acquires a fake endemic
-equilibrium).
+A built-in family stores its kernel encoding ``_encoding``, evaluated by
+the stepping kernel's ``inner_phi`` (:mod:`spepi._kernels`), the one
+definition of its formula.  Having one makes the model ``analytic``: it
+meets the conditions above by construction, and only other models are
+sampled by :func:`validate_regularity`.  All exponential evaluations go
+through ``expm1``.  The naive form ``1 - exp(-x)`` has absolute
+granularity ~1e-16, which injects a spurious floor into long simulations
+(the infected classes then never decay below ~1e-16 and the trajectory
+acquires a fake endemic equilibrium).
 """
 
 from __future__ import annotations
@@ -154,6 +156,11 @@ class IncidenceModel:
         """Gradient of phi at ``I`` (componentwise nonnegative)."""
         I = self._check_domain(I)
         return np.asarray(self._grad_raw(I), dtype=float)
+
+    @property
+    def analytic(self) -> bool:
+        """True when the conditions hold by closed form: a built-in family."""
+        return self._encoding is not None
 
     def _phi_raw(self, I: np.ndarray) -> float:
         return inner_phi(I, *self._encoding)
@@ -405,9 +412,6 @@ class CustomIncidence(IncidenceModel):
 # Regularity validation
 # ---------------------------------------------------------------------------
 
-_ANALYTIC_FAMILIES = ("exponential", "linear", "split-exponential")
-
-
 @dataclass
 class RegularityReport:
     """Outcome of the incidence regularity check.
@@ -472,10 +476,10 @@ def _fd_hessian(model: IncidenceModel, x: np.ndarray, h: float) -> np.ndarray:
 def validate_regularity(model: IncidenceModel, grid_density: int = 9) -> RegularityReport:
     """Check the regularity conditions an incidence function must satisfy.
 
-    Built-in families short-circuit to analytic verdicts (they satisfy the
-    conditions by construction, and their constructors already rejected
-    bad parameters).  Everything else is sampled on an axis grid over the
-    admissible set: range inside [0, 1), phi(0) = 0, componentwise
+    An ``analytic`` model (a built-in family, or a contact composition over
+    one) short-circuits to the closed-form verdict: its constructor already
+    rejected bad parameters.  Everything else is sampled on an axis grid
+    over the admissible set: range inside [0, 1), phi(0) = 0, componentwise
     nonnegative gradient, r_n > 0, and concavity via finite-difference
     Hessians whose eigenvalues must not exceed +1e-8.
 
@@ -483,19 +487,7 @@ def validate_regularity(model: IncidenceModel, grid_density: int = 9) -> Regular
     """
     if grid_density < 2:
         raise ValueError("grid_density must be at least 2")
-
-    def _is_analytic(m) -> bool:
-        if m.family in _ANALYTIC_FAMILIES:
-            return True
-        if m.family == "last-class":
-            return getattr(m, "kind", None) in ("linear", "exponential")
-        if m.family in ("contact-composed", "poisson-composed"):
-            # composition preserves the conditions whenever the per-contact
-            # probability satisfies them
-            return _is_analytic(m.pi_model)
-        return False
-
-    analytic = _is_analytic(model)
+    analytic = model.analytic
     report = RegularityReport(
         family=model.family, analytic=analytic,
         range_ok=True, zero_ok=True, gradient_ok=True,

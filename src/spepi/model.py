@@ -223,8 +223,15 @@ def _simulate_kernel(initial, gamma, spec, max_steps, eps_z, eps_s):
             ik, v1, v2, ok, op, eps_z, eps_s,
             S_buf, I_buf, R_buf, phi_buf, Z_buf,
         )
+        phi = phi_buf[:rows]
+        in_range = (phi >= 0.0) & (phi < 1.0)  # NaN fails too
+        if not in_range.all():  # the bound IncidenceModel.phi puts on the generic path
+            k = int(np.argmin(in_range))
+            raise DomainError(
+                f"step {rows_total + k}: phi = {float(phi[k])!r} lies outside [0, 1)"
+            )
         chunks.append((S_buf[:rows], I_buf[:rows * n].reshape(rows, n), R_buf[:rows],
-                       phi_buf[:rows], Z_buf[:rows]))
+                       phi, Z_buf[:rows]))
         rows_total += rows
         if status == _kernels.CONVERGED or rows_total >= max_rows:
             break

@@ -207,7 +207,7 @@ def monotone_decay_ratio_check(incidence: LastClassIncidence) -> bool:
     """
     if not isinstance(incidence, LastClassIncidence):
         raise TypeError("ratio check applies to last-class incidence only")
-    if incidence.kind in ("linear", "exponential"):
+    if incidence.analytic:
         return True
     rn = float(incidence.r[-1])
     xs = np.linspace(incidence.N / RATIO_GRID_POINTS, incidence.N, RATIO_GRID_POINTS)

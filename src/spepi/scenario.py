@@ -40,11 +40,12 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
-from .contacts import ContactDistribution, compose_incidence, poisson_incidence
+from .contacts import ComposedIncidence, ContactDistribution, compose_incidence, poisson_incidence
 from .incidence import (
     ExponentialIncidence,
     IncidenceModel,
@@ -52,7 +53,7 @@ from .incidence import (
     LinearIncidence,
     SplitExponentialIncidence,
 )
-from .model import EpidemicState, StageParams, StoppingRule
+from .model import DEFAULT_MAX_STEPS, EpidemicState, StageParams, StoppingRule
 
 __all__ = [
     "Scenario",
@@ -73,14 +74,6 @@ FIGURE_SCENARIO_NAMES = (
     "fig3-top-left",
     "fig3-top-right",
     "fig3-bottom",
-)
-
-_PLAIN_FAMILIES = (
-    "exponential",
-    "linear",
-    "split-exponential",
-    "last-class-linear",
-    "last-class-exponential",
 )
 
 
@@ -121,65 +114,59 @@ def _parse_float(text: str, path: str) -> float:
         raise ScenarioError(f"{path}: cannot parse number from {text!r}") from exc
 
 
+def _parse_int(text: str, path: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: cannot parse integer from {text!r}") from exc
+
+
 def _get(section: dict, key: str, where: str) -> str:
     if key not in section:
         raise ScenarioError(f"{where}.{key}: required key is missing")
     return section[key]
 
 
-def _build_plain_incidence(family: str, spec: dict, N: float, prefix: str = "",
-                           where: str = "incidence") -> IncidenceModel:
-    def need(key):
-        return _get(spec, prefix + key, where)
+# The plain INI families: name -> (constructor taking N and the keys by
+# keyword, (key, parser) pairs in file order).  Parsing and serialization
+# both read this table; the model attribute of each key is its name.
+_LAST_CLASS_KEYS = (("n", _parse_int), ("beta", _parse_float))
+_FAMILIES = {
+    "exponential": (ExponentialIncidence, (("beta", _parse_floats),)),
+    "linear": (LinearIncidence, (("beta", _parse_floats),)),
+    "split-exponential": (
+        SplitExponentialIncidence, (("theta", _parse_floats), ("beta", _parse_floats))
+    ),
+    "last-class-linear": (partial(LastClassIncidence, kind="linear"), _LAST_CLASS_KEYS),
+    "last-class-exponential": (partial(LastClassIncidence, kind="exponential"), _LAST_CLASS_KEYS),
+}
 
-    try:
-        if family == "exponential":
-            return ExponentialIncidence(_parse_floats(need("beta"), where), N)
-        if family == "linear":
-            return LinearIncidence(_parse_floats(need("beta"), where), N)
-        if family == "split-exponential":
-            return SplitExponentialIncidence(
-                _parse_floats(need("theta"), where),
-                _parse_floats(need("beta"), where),
-                N,
-            )
-        if family in ("last-class-linear", "last-class-exponential"):
-            n = int(_get(spec, prefix + "n", where)) if prefix + "n" in spec else None
-            if n is None:
-                raise ScenarioError(f"{where}.{prefix}n: last-class families need the stage count")
-            kind = "linear" if family.endswith("linear") else "exponential"
-            return LastClassIncidence(
-                n=n, N=N, kind=kind, beta=_parse_float(need("beta"), where)
-            )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"{where}: {exc}") from exc
-    raise ScenarioError(f"{where}.family: unknown incidence family {family!r}")
+
+def _build_plain_incidence(family: str, spec: dict, N: float,
+                           prefix: str = "") -> IncidenceModel:
+    if family not in _FAMILIES:
+        raise ScenarioError(f"incidence.{prefix}family: unknown incidence family {family!r}")
+    build, keys = _FAMILIES[family]
+    values = {
+        key: parse(_get(spec, prefix + key, "incidence"), f"incidence.{prefix}{key}")
+        for key, parse in keys
+    }
+    return build(N=N, **values)
 
 
 def _build_incidence(spec: dict, N: float) -> IncidenceModel:
     family = _get(spec, "family", "incidence").strip()
-    if family in _PLAIN_FAMILIES:
+    if family not in ("contact-composed", "poisson-composed"):
         return _build_plain_incidence(family, spec, N)
-    try:
-        if family == "contact-composed":
-            pi_family = _get(spec, "pi_family", "incidence").strip()
-            pi = _build_plain_incidence(pi_family, spec, N, prefix="pi_")
-            dist = ContactDistribution.explicit(
-                _parse_floats(_get(spec, "contact_p", "incidence"), "incidence.contact_p")
-            )
-            return compose_incidence(pi, dist)
-        if family == "poisson-composed":
-            pi_family = _get(spec, "pi_family", "incidence").strip()
-            pi = _build_plain_incidence(pi_family, spec, N, prefix="pi_")
-            lam = _parse_float(_get(spec, "lambda", "incidence"), "incidence.lambda")
-            return poisson_incidence(lam, pi)
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"incidence: {exc}") from exc
-    raise ScenarioError(f"incidence.family: unknown incidence family {family!r}")
+    pi_family = _get(spec, "pi_family", "incidence").strip()
+    pi = _build_plain_incidence(pi_family, spec, N, prefix="pi_")
+    if family == "contact-composed":
+        dist = ContactDistribution.explicit(
+            _parse_floats(_get(spec, "contact_p", "incidence"), "incidence.contact_p")
+        )
+        return compose_incidence(pi, dist)
+    lam = _parse_float(_get(spec, "lambda", "incidence"), "incidence.lambda")
+    return poisson_incidence(lam, pi)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -189,46 +176,44 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"{section}: required section is missing")
     label = data.get("scenario", {}).get("label", "")
 
-    p = data["params"]
+    # a ValueError from a constructor becomes a ScenarioError naming the
+    # section being built; one try costs nothing until it catches
+    where = "params"
     try:
+        p = data["params"]
         params = StageParams(
             gamma=np.array(_parse_floats(_get(p, "gamma", "params"), "params.gamma")),
             N=_parse_float(_get(p, "N", "params"), "params.N"),
         )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"params: {exc}") from exc
 
-    incidence = _build_incidence(dict(data["incidence"]), params.N)
-    if incidence.n != params.n:
-        raise ScenarioError(
-            f"incidence: built for {incidence.n} stages but params.gamma has {params.n}"
-        )
+        where = "incidence"
+        incidence = _build_incidence(dict(data["incidence"]), params.N)
+        if incidence.n != params.n:
+            raise ScenarioError(
+                f"incidence: built for {incidence.n} stages but params.gamma has {params.n}"
+            )
 
-    ini = data["initial"]
-    try:
+        where = "initial"
+        ini = data["initial"]
         initial = EpidemicState(
             S=_parse_float(_get(ini, "S", "initial"), "initial.S"),
             I=np.array(_parse_floats(_get(ini, "I", "initial"), "initial.I")),
             R=_parse_float(_get(ini, "R", "initial"), "initial.R"),
         )
         initial.validate_against(params)
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"initial: {exc}") from exc
 
-    stop = data.get("stopping", {})
-    try:
+        where = "stopping"
+        stop = data.get("stopping", {})
         stopping = StoppingRule(
-            max_steps=int(stop["max_steps"]) if "max_steps" in stop else 10**6,
+            max_steps=int(stop.get("max_steps", DEFAULT_MAX_STEPS)),
             eps_z=float(stop["eps_z"]) if "eps_z" in stop else None,
             eps_s=float(stop["eps_s"]) if "eps_s" in stop else None,
         )
         stopping.resolve(params.N)
     except ValueError as exc:
-        raise ScenarioError(f"stopping: {exc}") from exc
+        if isinstance(exc, ScenarioError):
+            raise
+        raise ScenarioError(f"{where}: {exc}") from exc
 
     return Scenario(
         label=label, params=params, incidence=incidence,
@@ -237,37 +222,24 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def _incidence_to_dict(model: IncidenceModel) -> dict:
-    fam = model.family
-    if fam == "exponential":
-        return {"family": "exponential", "beta": _fmt(model.beta)}
-    if fam == "linear":
-        return {"family": "linear", "beta": _fmt(model.beta)}
-    if fam == "split-exponential":
-        return {
-            "family": "split-exponential",
-            "theta": _fmt(model.theta),
-            "beta": _fmt(model.beta),
-        }
-    if fam == "last-class":
-        if model.kind not in ("linear", "exponential"):
-            raise ScenarioError("custom last-class profiles cannot be serialized")
-        return {
-            "family": f"last-class-{model.kind}",
-            "n": str(model.n),
-            "beta": repr(model.beta),
-        }
-    if fam in ("contact-composed", "poisson-composed"):
-        inner = _incidence_to_dict(model.pi_model)
-        if inner["family"] in ("contact-composed", "poisson-composed"):
+    if isinstance(model, ComposedIncidence):
+        if isinstance(model.pi_model, ComposedIncidence):
             raise ScenarioError("nested contact compositions cannot be serialized")
-        out = {"family": fam}
-        out.update({f"pi_{k}": v for k, v in inner.items()})
-        if fam == "contact-composed":
-            out["contact_p"] = _fmt(model.dist.p)
+        out = {"family": model.family}
+        out.update({f"pi_{k}": v for k, v in _incidence_to_dict(model.pi_model).items()})
+        if model.dist.kind == "poisson":
+            out["lambda"] = repr(model.dist.lam)
         else:
-            out["lambda"] = repr(model.lam)
+            out["contact_p"] = _fmt(model.dist.p)
         return out
-    raise ScenarioError(f"incidence family {fam!r} cannot be serialized")
+    family = model.family
+    if isinstance(model, LastClassIncidence):
+        family = f"{family}-{model.kind}"
+    if family not in _FAMILIES:
+        raise ScenarioError(f"incidence family {family!r} cannot be serialized")
+    out = {"family": family}
+    out.update({key: _fmt(getattr(model, key)) for key, _ in _FAMILIES[family][1]})
+    return out
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

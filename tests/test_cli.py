@@ -396,6 +396,21 @@ def test_non_finite_scenario_value_exits_1(tmp_path, capsys, section, line, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_phi_one_scenario_exits_1(tmp_path, capsys, command):
+    # exp(-40) rounds phi(I(0)) to 1.0; simulate used to write
+    # S_inf_estimate = 0 and exit 0
+    path = tmp_path / "phi1.ini"
+    path.write_text("[params]\ngamma = 0.5\nN = 1.0\n"
+                    "[incidence]\nfamily = exponential\nbeta = 50\n"
+                    "[initial]\nS = 0.2\nI = 0.8\nR = 0.0\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    args = ["--out", str(out)] if command == "simulate" else []
+    assert main([command, "--scenario", str(path), *args]) == 1
+    assert capsys.readouterr().err == "error: step 0: phi = 1.0 lies outside [0, 1)\n"
+    assert not out.exists()
+
+
 def test_io_error_exit_code(tmp_path):
     assert main(["simulate", "--scenario", "fig2-left",
                  "--out", str(tmp_path / "no" / "dir" / "o.csv")]) == 3

@@ -52,6 +52,12 @@ def test_poisson_truncation_tail():
     assert d.p.sum() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_poisson_truncation_raises_when_the_sum_stops_growing():
+    # exp(-800) underflows to 0, so the partial sum never moves
+    with pytest.raises(ValueError, match="did not reach the requested tail mass"):
+        ContactDistribution.poisson_truncated(800.0)
+
+
 def test_point_mass_one_contact_is_identity():
     pi = ExponentialIncidence([0.4, 0.7], N=1.0)
     composed = compose_incidence(pi, ContactDistribution.explicit([0.0, 1.0]))
@@ -168,6 +174,17 @@ def test_composition_preserves_regularity():
     rep = validate_regularity(model, grid_density=7)
     assert not rep.analytic
     assert rep.passed, rep.failures
+
+    # a nested composition asks its innermost model
+    nested = poisson_incidence(1.5, compose_incidence(pi, ContactDistribution.explicit([0.5, 0.5])))
+    rep = validate_regularity(nested, grid_density=7)
+    assert rep.passed, rep.failures
+    assert rep.analytic
+    nested = poisson_incidence(1.5, model)
+    rep = validate_regularity(nested, grid_density=7)
+    assert rep.passed, rep.failures
+    assert not rep.analytic
+    assert rep.points_checked > 0
 
 
 def test_last_class_pi_composes():

@@ -321,3 +321,24 @@ def test_generic_path_rejects_invalid_phi(func, message):
         simulate(initial, params, inc, StoppingRule(max_steps=20_000))
     with pytest.raises(DomainError, match="outside"):
         inc.phi([0.5, 0.5])
+
+
+@pytest.mark.parametrize("first_chunk_rows", [4096, 1, 2])
+@pytest.mark.parametrize("S0, beta, step_no", [(0.2, 50.0, 0), (0.99, 60.0, 2)])
+def test_kernel_path_rejects_phi_one(monkeypatch, first_chunk_rows, S0, beta, step_no):
+    # -expm1(-x) rounds to 1.0 for x above about 37; unchecked, the kernel
+    # emptied S in one step and "converged" with S_inf = 0.  The step is
+    # counted across chunks, and the message is the generic path's own.
+    monkeypatch.setattr("spepi.model._FIRST_CHUNK_ROWS", first_chunk_rows)
+    params = StageParams(gamma=[0.5], N=1.0)
+    inc = ExponentialIncidence([beta], N=1.0)
+    initial = EpidemicState(S=S0, I=[1.0 - S0], R=0.0)
+    message = f"step {step_no}: phi = 1.0 lies outside [0, 1)"
+    assert inc.kernel_spec() is not None
+    with pytest.raises(DomainError) as kernel:
+        simulate(initial, params, inc)
+    assert str(kernel.value) == message
+    mirror = CustomIncidence(inc._phi_raw, n=1, N=1.0)
+    with pytest.raises(DomainError) as generic:
+        simulate(initial, params, mirror)
+    assert str(generic.value) == message

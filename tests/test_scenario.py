@@ -10,7 +10,9 @@ from spepi import (
     EpidemicState,
     ExponentialIncidence,
     LastClassIncidence,
+    LinearIncidence,
     Scenario,
+    SplitExponentialIncidence,
     StageParams,
     StoppingRule,
     compose_incidence,
@@ -154,6 +156,10 @@ def test_round_trip_all_families(tmp_path):
         ),
         poisson_incidence(2.71828, ExponentialIncidence([0.3, 0.8], N)),
         LastClassIncidence(n=2, N=N, kind="exponential", beta=1.75),
+        LinearIncidence([0.3, 0.123456789012345], N),
+        SplitExponentialIncidence([0.25, 0.75], [0.4, 1.1], N),
+        LastClassIncidence(n=2, N=N, kind="linear", beta=0.6),
+        poisson_incidence(1.5, LastClassIncidence(n=2, N=N, kind="linear", beta=0.6)),
     ]
     for inc in cases:
         sc = Scenario(label="round trip", params=params, incidence=inc,

@@ -18,6 +18,7 @@ from .incidence import (
     validate_regularity,
 )
 from .model import (
+    DynamicsError,
     EpidemicState,
     StageParams,
     StoppingRule,
@@ -69,7 +70,8 @@ __all__ = [
     "CustomIncidence", "DomainError", "ExponentialIncidence", "RegularityReport",
     "IncidenceModel", "LastClassIncidence", "LinearIncidence",
     "SplitExponentialIncidence", "validate_regularity",
-    "EpidemicState", "StageParams", "StoppingRule", "Trajectory", "simulate", "step",
+    "DynamicsError", "EpidemicState", "StageParams", "StoppingRule", "Trajectory",
+    "simulate", "step",
     "PerronData", "StageMatrixDecomposition", "build_B",
     "delta", "nrv", "perron",
     "r0", "sign_identities_check",

@@ -13,6 +13,15 @@ into the caller's arrays: every list entry is a boxed float, and buffers
 as long as a whole chunk (8k rows and more) raised the peak memory of a
 deep run by several MB.
 
+Each step updates the stages in one ascending pass that also sums the
+prevalence: ``flow`` carries gamma[j-1] * I[j-1] (the old value) into
+stage j, and what leaves the last stage goes to R.  Every I[j] is
+computed from the same operands as in the descending form
+(1 - gamma[j]) * I[j] + gamma[j-1] * I[j-1], with 1 - gamma[j] taken once
+per call, and Z is still the sequential sum 0.0 + I[0] + ... + I[n-1] of
+the new values, so the result is bit-for-bit that of a descending update
+followed by a separate sum, at one pass instead of two.
+
 Incidence encoding shared with :meth:`IncidenceModel.kernel_spec`.
 ``inner_phi`` and ``outer_phi`` are the only definition of each built-in
 phi: the kernel, its twin and the model objects all evaluate through them.
@@ -87,6 +96,7 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
     conv = False
     phi = phi_entry
     advance = phi_entry >= 0.0
+    keep = [1.0 - gamma[j] for j in range(n)]
     z = 0.0
     for j in range(n):  # the entry state's prevalence
         z += I[j]
@@ -96,13 +106,17 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
             # the current state is recorded with incidence phi: step past it
             inc = phi * S
             S_new = S - inc
-            R = R + gamma[n - 1] * I[n - 1]
-            for j in range(n - 1, 0, -1):
-                I[j] = (1.0 - gamma[j]) * I[j] + gamma[j - 1] * I[j - 1]
-            I[0] = (1.0 - gamma[0]) * I[0] + inc
+            # one ascending pass: ``flow`` carries gamma[j-1] * (old I[j-1])
+            # into stage j, and out of the last stage into R
+            flow = inc
             z = 0.0
             for j in range(n):
-                z += I[j]
+                old = I[j]
+                new = keep[j] * old + flow
+                I[j] = new
+                z += new
+                flow = gamma[j] * old
+            R = R + flow
             conv = (z < eps_z) and ((S - S_new) < eps_s)
             S = S_new
 

@@ -212,9 +212,10 @@ def _parse_grid(text: str) -> list:
 def cmd_sweep(args) -> int:
     base = _resolve_scenario(args.scenario)
     grid = _parse_grid(args.grid)
+    base_data = scenario_to_dict(base)
     rows = []
     for value in grid:
-        data = scenario_to_dict(base)
+        data = {section: dict(entries) for section, entries in base_data.items()}
         set_scenario_value(data, args.param, value)
         scenario = scenario_from_dict(data)
         stopping = _apply_stopping_overrides(scenario, args)

@@ -15,8 +15,15 @@ S + I1 + ... + In + R is conserved.
 trajectory; ``step`` is a one-step ``simulate``.  The update is written
 once in the stepping kernel (:mod:`spepi._kernels`, which serves the
 built-in families) and once in ``_simulate_generic`` (custom callables),
-in the same floating-point operation order, so ``simulate`` is
+in the same form: one ascending pass over the stages that also sums the
+prevalence, with the floating-point operations of the descending update
+and a separate sum (see :mod:`spepi._kernels`).  So ``simulate`` is
 bit-for-bit an iteration of ``step`` on either path.
+
+Both paths raise :class:`DynamicsError`, naming the step and the cause,
+for a phi outside [0, 1).  The kernel path also checks every row it
+records for non-finite or negative compartments and for S + Z + R
+drifting from N by more than ``CONSERVATION_TOL_REL * N``.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from . import _kernels
 from .incidence import DomainError, IncidenceModel, _as_vector, _population
 
 __all__ = [
+    "DynamicsError",
     "StageParams",
     "EpidemicState",
     "StoppingRule",
@@ -197,22 +205,70 @@ def step(state: EpidemicState, params: StageParams, incidence: IncidenceModel) -
     return simulate(state, params, incidence, StoppingRule(max_steps=1)).state(-1)
 
 
+class DynamicsError(DomainError):
+    """A run left the admissible set; ``step`` is the first bad row, ``cause`` why."""
+
+    def __init__(self, step: int, cause: str):
+        super().__init__(f"step {step}: {cause}")
+        self.step = step
+        self.cause = cause
+
+
+def _row_fault(S, I, R, phi, Z, N) -> str:
+    """Why one recorded row (Python floats, I a list) is not admissible."""
+    if not 0.0 <= phi < 1.0:  # the bound IncidenceModel.phi puts on the generic path
+        return f"phi = {phi!r} lies outside [0, 1)"
+    values = [("S", S), *((f"I{j + 1}", x) for j, x in enumerate(I)), ("R", R), ("Z", Z)]
+    for name, x in values:
+        if not math.isfinite(x):
+            return f"{name} = {x!r} is not finite"
+    for name, x in values:
+        if x < 0.0:
+            return f"{name} = {x!r} is negative"
+    return (f"S + Z + R = {S + Z + R!r} drifts from N = {N!r} "
+            f"by more than {CONSERVATION_TOL_REL:g} N")
+
+
+def _check_rows(S, I, R, phi, Z, N, first_step) -> None:
+    """Raise :class:`DynamicsError` at the first recorded row that is not admissible.
+
+    A row is admissible when phi lies in [0, 1), every compartment is finite
+    and nonnegative, and |S + Z + R - N| <= CONSERVATION_TOL_REL * N.  NaN
+    fails every comparison, and nonnegative S, Z and R with a finite sum are
+    each finite, so a few vectorized comparisons find every cause.
+    """
+    drift = S + Z  # the one float temporary, reused in place
+    drift += R
+    drift -= N
+    ok = ((np.abs(drift, out=drift) <= CONSERVATION_TOL_REL * N) & (phi >= 0.0)
+          & (phi < 1.0) & (S >= 0.0) & (R >= 0.0) & (Z >= 0.0))
+    # the stages are reduced flat first: a reduction along each row of a
+    # narrow (rows, n) block costs about ten times more
+    if ok.all() and I.min() >= 0.0 and I.max() < math.inf:
+        return
+    ok &= (I >= 0.0).all(axis=1) & (I < math.inf).all(axis=1)
+    k = int(np.argmin(ok))
+    cause = _row_fault(float(S[k]), I[k].tolist(), float(R[k]), float(phi[k]),
+                       float(Z[k]), N)
+    raise DynamicsError(first_step + k, cause)
+
+
 _FIRST_CHUNK_ROWS = 4096
 
 
-def _simulate_kernel(initial, gamma, spec, max_steps, eps_z, eps_s):
+def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s):
     ik, v1, v2, ok, op = spec
     max_rows = max_steps + 1
     S_cur = initial.S
     I_cur = initial.I.copy()
     R_cur = initial.R
+    n = I_cur.shape[0]
     phi_entry = -1.0  # entry state not yet recorded
     chunks = []
     rows_total = 0
     cap = min(_FIRST_CHUNK_ROWS, max_rows)
     status = _kernels.FULL
     while True:
-        n = I_cur.shape[0]
         S_buf = np.empty(cap)
         I_buf = np.empty(cap * n)
         R_buf = np.empty(cap)
@@ -223,19 +279,16 @@ def _simulate_kernel(initial, gamma, spec, max_steps, eps_z, eps_s):
             ik, v1, v2, ok, op, eps_z, eps_s,
             S_buf, I_buf, R_buf, phi_buf, Z_buf,
         )
-        phi = phi_buf[:rows]
-        in_range = (phi >= 0.0) & (phi < 1.0)  # NaN fails too
-        if not in_range.all():  # the bound IncidenceModel.phi puts on the generic path
-            k = int(np.argmin(in_range))
-            raise DomainError(
-                f"step {rows_total + k}: phi = {float(phi[k])!r} lies outside [0, 1)"
-            )
-        chunks.append((S_buf[:rows], I_buf[:rows * n].reshape(rows, n), R_buf[:rows],
-                       phi, Z_buf[:rows]))
+        chunk = (S_buf[:rows], I_buf[:rows * n].reshape(rows, n), R_buf[:rows],
+                 phi_buf[:rows], Z_buf[:rows])
+        _check_rows(*chunk, N, rows_total)
+        chunks.append(chunk)
         rows_total += rows
         if status == _kernels.CONVERGED or rows_total >= max_rows:
             break
         cap = min(2 * cap, max_rows - rows_total)
+    # compact copies even of a single chunk: views would keep the whole
+    # buffer (4096 rows and more) alive for as long as the trajectory
     concat = [np.concatenate([c[k] for c in chunks]) for k in range(5)]
     reason = "converged" if status == _kernels.CONVERGED else "max-steps"
     return (*concat, reason)
@@ -245,6 +298,7 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
     # python loop on lists for incidence models the kernel cannot encode;
     # the kernel's update and summation order
     gamma = params.gamma.tolist()
+    keep = [1.0 - g for g in gamma]
     n = params.n
     S, I, R = initial.S, initial.I.tolist(), initial.R
     Ss, Is, Rs, phis, Zs = [], [], [], [], []
@@ -255,7 +309,7 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
         try:
             phi = incidence.phi(I)
         except DomainError as exc:
-            raise DomainError(f"step {t}: {exc}") from exc
+            raise DynamicsError(t, str(exc)) from exc
         Ss.append(S)
         Is.append(I.copy())
         Rs.append(R)
@@ -268,13 +322,15 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
             break
         inc = phi * S
         S_new = S - inc
-        R = R + gamma[n - 1] * I[n - 1]
-        for j in range(n - 1, 0, -1):
-            I[j] = (1.0 - gamma[j]) * I[j] + gamma[j - 1] * I[j - 1]
-        I[0] = (1.0 - gamma[0]) * I[0] + inc
+        flow = inc
         z = 0.0
-        for x in I:
-            z += x
+        for j in range(n):
+            old = I[j]
+            new = keep[j] * old + flow
+            I[j] = new
+            z += new
+            flow = gamma[j] * old
+        R = R + flow
         conv = (z < eps_z) and ((S - S_new) < eps_s)
         S = S_new
     return (np.array(Ss), np.array(Is), np.array(Rs), np.array(phis), np.array(Zs), reason)
@@ -316,7 +372,7 @@ def simulate(
     spec = incidence.kernel_spec()
     if spec is not None:
         S, I, R, phi, Z, reason = _simulate_kernel(
-            initial, params.gamma, spec, max_steps, eps_z, eps_s
+            initial, params.gamma, params.N, spec, max_steps, eps_z, eps_s
         )
     else:
         S, I, R, phi, Z, reason = _simulate_generic(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import spepi._kernels as kernels
 from spepi import (
     EpidemicState,
     ExponentialIncidence,
@@ -95,3 +96,27 @@ def random_lastclass_model(rng, n_range=(1, 4), kinds=("linear", "exponential"),
         kind = "exponential"
     incidence = LastClassIncidence(n=n, N=N, kind=kind, beta=beta)
     return params, incidence
+
+
+# run_chunk's output buffers, by argument position
+_OUT_ARGS = {"S": 12, "I": 13, "R": 14, "phi": 15, "Z": 16}
+
+
+def corrupt_one_row(monkeypatch, step_no, field, value, stage=0):
+    """Wrap ``run_chunk`` so that the recorded row ``step_no`` holds a bad value.
+
+    The kernel's own state is untouched; only the row it hands back is.
+    """
+    real = kernels.run_chunk
+    done = [0]
+
+    def run_chunk(*args):
+        result = real(*args)
+        k = step_no - done[0]
+        if 0 <= k < result[0]:
+            n = len(args[1])
+            args[_OUT_ARGS[field]][k * n + stage if field == "I" else k] = value
+        done[0] += result[0]
+        return result
+
+    monkeypatch.setattr(kernels, "run_chunk", run_chunk)

@@ -12,6 +12,8 @@ from spepi.cli import _figure_verdict, main
 from spepi.model import Trajectory
 from spepi.scenario import FIGURE_SCENARIO_NAMES
 
+from conftest import corrupt_one_row
+
 
 def _read_csv(path):
     header = None
@@ -408,6 +410,14 @@ def test_phi_one_scenario_exits_1(tmp_path, capsys, command):
     args = ["--out", str(out)] if command == "simulate" else []
     assert main([command, "--scenario", str(path), *args]) == 1
     assert capsys.readouterr().err == "error: step 0: phi = 1.0 lies outside [0, 1)\n"
+    assert not out.exists()
+
+
+def test_invalid_dynamics_exit_1(tmp_path, monkeypatch, capsys):
+    corrupt_one_row(monkeypatch, 7, "I", -1e-3, stage=2)
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--scenario", "fig2-left", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: step 7: I3 = -0.001 is negative\n"
     assert not out.exists()
 
 

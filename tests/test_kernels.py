@@ -47,14 +47,16 @@ def _encoding_id(inc):
     return f"{inc.family}-ik{ik}-ok{ok}"
 
 
-def _run_both(initial, gamma, spec, max_steps=10**6, eps_z=1e-12, eps_s=1e-14):
+def _run_both(initial, params, spec, max_steps=10**6, eps_z=1e-12, eps_s=1e-14):
     current = kernels.run_chunk
     try:
         kernels.run_chunk = kernels.run_chunk_py
-        py = _simulate_kernel(initial, gamma, spec, max_steps, eps_z, eps_s)
+        py = _simulate_kernel(initial, params.gamma, params.N, spec, max_steps,
+                              eps_z, eps_s)
         if kernels.run_chunk_jit is not None:
             kernels.run_chunk = kernels.run_chunk_jit
-            jit = _simulate_kernel(initial, gamma, spec, max_steps, eps_z, eps_s)
+            jit = _simulate_kernel(initial, params.gamma, params.N, spec, max_steps,
+                                   eps_z, eps_s)
         else:  # pragma: no cover - numba always present in CI
             jit = py
     finally:
@@ -70,7 +72,7 @@ def test_jit_and_python_twins_agree_bitwise():
         initial = random_initial(rng, params)
         spec = inc.kernel_spec()
         assert spec is not None
-        py, jit = _run_both(initial, params.gamma, spec,
+        py, jit = _run_both(initial, params, spec,
                             eps_z=1e-12 * params.N, eps_s=1e-14 * params.N)
         assert py[-1] == jit[-1]
         for a, b in zip(py[:-1], jit[:-1]):

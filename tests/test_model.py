@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from spepi import (
     CustomIncidence,
     DomainError,
+    DynamicsError,
     EpidemicState,
     ExponentialIncidence,
     LinearIncidence,
@@ -21,7 +22,7 @@ from spepi import (
     step,
 )
 
-from conftest import random_initial, random_model
+from conftest import corrupt_one_row, random_initial, random_model
 
 
 def test_stage_params_validation():
@@ -342,3 +343,42 @@ def test_kernel_path_rejects_phi_one(monkeypatch, first_chunk_rows, S0, beta, st
     with pytest.raises(DomainError) as generic:
         simulate(initial, params, mirror)
     assert str(generic.value) == message
+
+
+@pytest.mark.parametrize("field, stage, value, cause", [
+    ("phi", 0, 1.5, "phi = 1.5 lies outside [0, 1)"),
+    ("phi", 0, math.nan, "phi = nan lies outside [0, 1)"),
+    ("S", 0, math.nan, "S = nan is not finite"),
+    ("I", 1, math.inf, "I2 = inf is not finite"),
+    ("R", 0, -1e-300, "R = -1e-300 is negative"),
+    ("Z", 0, -0.25, "Z = -0.25 is negative"),
+    ("S", 0, 0.5, "S + Z + R = "),
+], ids=["phi-above-one", "phi-nan", "S-nan", "I-inf", "R-negative", "Z-negative", "drift"])
+@pytest.mark.parametrize("step_no", [0, 3, 9])
+def test_kernel_chunk_check_names_step_and_cause(monkeypatch, figures, field, stage,
+                                                  value, cause, step_no):
+    # first chunks of 4 rows: step 9 lies in the second chunk of 8
+    monkeypatch.setattr("spepi.model._FIRST_CHUNK_ROWS", 4)
+    sc = figures["fig2-left"]
+    assert sc.incidence.kernel_spec() is not None
+    corrupt_one_row(monkeypatch, step_no, field, value, stage)
+    with pytest.raises(DynamicsError) as err:
+        simulate(sc.initial, sc.params, sc.incidence)
+    assert err.value.step == step_no
+    assert err.value.cause.startswith(cause)
+    assert str(err.value) == f"step {step_no}: {err.value.cause}"
+    assert isinstance(err.value, DomainError)
+
+
+def test_kernel_chunk_check_reports_drift_beyond_tolerance(monkeypatch, figures):
+    sc = figures["fig2-left"]
+    traj = simulate(sc.initial, sc.params, sc.incidence)
+    S5 = float(traj.S[5])
+    N = sc.params.N
+    corrupt_one_row(monkeypatch, 5, "S", S5 + 2e-9 * N)
+    with pytest.raises(DynamicsError, match=r"^step 5: S \+ Z \+ R = .* drifts from "
+                                             r"N = 1\.0 by more than 1e-09 N$"):
+        simulate(sc.initial, sc.params, sc.incidence)
+    monkeypatch.undo()
+    corrupt_one_row(monkeypatch, 5, "S", S5 + 0.5e-9 * N)  # within the tolerance
+    np.testing.assert_array_equal(simulate(sc.initial, sc.params, sc.incidence).Z, traj.Z)

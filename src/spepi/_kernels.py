@@ -22,6 +22,12 @@ per call, and Z is still the sequential sum 0.0 + I[0] + ... + I[n-1] of
 the new values, so the result is bit-for-bit that of a descending update
 followed by a separate sum, at one pass instead of two.
 
+A model without a built-in encoding passes ``phi_fn`` to take its place,
+so every incidence steps through this one loop.  Those runs use the twin,
+as numba cannot call a Python callable (it prunes the branch when
+``phi_fn`` is None).  A row with phi outside [0, 1) (NaN too) ends the
+call with ``INVALID``, so that state is never stepped.
+
 Incidence encoding shared with :meth:`IncidenceModel.kernel_spec`.
 ``inner_phi`` and ``outer_phi`` are the only definition of each built-in
 phi: the kernel, its twin and the model objects all evaluate through them.
@@ -45,6 +51,7 @@ import os
 
 CONVERGED = 1
 FULL = 0
+INVALID = 2
 
 
 def inner_phi(I, ik, v1, v2):
@@ -75,7 +82,7 @@ def outer_phi(pi, ok, op):
 def _run_chunk_impl(S, I, R, phi_entry, gamma,
                     ik, v1, v2, ok, op,
                     eps_z, eps_s,
-                    S_out, I_out, R_out, phi_out, Z_out):
+                    S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
     """Advance the staged-progression map, recording one row per state.
 
     Row ``k`` holds S, R, phi and the prevalence ||I||_1 (summed in the
@@ -86,9 +93,11 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
     phi_entry >= 0: the entry state is already recorded with that incidence
     value; advance once before recording.
 
-    I is updated in place.  Returns (rows_written, status, S, R, phi_last)
-    with status CONVERGED (||I|| < eps_z and the susceptible decrement fell
-    below eps_s) or FULL (buffer exhausted, call again to continue).
+    phi is phi_fn(I) when phi_fn is given, else the encoding's value.  I is
+    updated in place.  Returns (rows_written, status, S, R, phi_last) with
+    status CONVERGED (||I|| < eps_z and the susceptible decrement fell below
+    eps_s), INVALID (the last row's phi lies outside [0, 1)) or FULL (buffer
+    exhausted, call again to continue).
     """
     n = len(I)
     cap = len(S_out)
@@ -121,9 +130,12 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
             S = S_new
 
         # incidence of the current (still unrecorded) state
-        phi = inner_phi(I, ik, v1, v2)
-        if ok != 0:
-            phi = outer_phi(phi, ok, op)
+        if phi_fn is None:
+            phi = inner_phi(I, ik, v1, v2)
+            if ok != 0:
+                phi = outer_phi(phi, ok, op)
+        else:
+            phi = phi_fn(I)
 
         S_out[row] = S
         I_out[row * n:row * n + n] = I
@@ -131,6 +143,8 @@ def _run_chunk_impl(S, I, R, phi_entry, gamma,
         phi_out[row] = phi
         Z_out[row] = z
         row += 1
+        if not (phi >= 0.0 and phi < 1.0):  # NaN too
+            return row, INVALID, S, R, phi
         if conv:
             return row, CONVERGED, S, R, phi
         if row == cap:
@@ -144,7 +158,7 @@ BLOCK_ROWS = 1024
 def run_chunk_py(S, I, R, phi_entry, gamma,
                  ik, v1, v2, ok, op,
                  eps_z, eps_s,
-                 S_out, I_out, R_out, phi_out, Z_out):
+                 S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
     """``_run_chunk_impl`` on Python lists, with the same arguments and result.
 
     The numpy buffers are filled in blocks of at most ``BLOCK_ROWS`` rows;
@@ -168,7 +182,7 @@ def run_chunk_py(S, I, R, phi_entry, gamma,
         S_b, I_b, R_b, phi_b, Z_b = bufs
         rows, status, S, R, phi = _run_chunk_impl(
             S, I_cur, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
-            S_b, I_b, R_b, phi_b, Z_b,
+            S_b, I_b, R_b, phi_b, Z_b, phi_fn,
         )
         end = done + rows
         S_out[done:end] = S_b[:rows]

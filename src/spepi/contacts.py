@@ -89,22 +89,41 @@ class ContactDistribution:
     def poisson_truncated(cls, lam: float, tail_mass: float = 1e-12) -> "ContactDistribution":
         """Finite truncation of a Poisson law with tail mass below ``tail_mass``.
 
-        Raises ValueError when the partial sum stops growing short of
-        1 - ``tail_mass``, as it does from the start once exp(-lam)
-        underflows to 0.
+        While exp(-lam) is a normal double (lam up to about 708.4) this is
+        p_{k+1} = p_k lam / (k + 1) from p_0 = exp(-lam) until the sum
+        reaches 1 - ``tail_mass``, and ValueError if it stops growing short
+        of that.  Above, it grows from the mode both ways and is normalised.
         """
         lam = float(lam)
         if not 0.0 < lam < math.inf:
             raise ValueError("the Poisson mean must be positive and finite")
-        probs = [math.exp(-lam)]
-        cum = probs[0]
-        while cum < 1.0 - tail_mass:
-            probs.append(probs[-1] * lam / len(probs))
-            grown = cum + probs[-1]
-            if grown == cum:
-                raise ValueError("truncation did not reach the requested tail mass")
-            cum = grown
-        return cls.explicit(np.array(probs))
+        if not 0.0 < tail_mass < 1.0:
+            raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass!r}")
+        if math.exp(-lam) >= np.finfo(float).tiny:
+            probs = [math.exp(-lam)]
+            cum = probs[0]
+            while cum < 1.0 - tail_mass:
+                probs.append(probs[-1] * lam / len(probs))
+                grown = cum + probs[-1]
+                if grown == cum:
+                    raise ValueError("truncation did not reach the requested tail mass")
+                cum = grown
+            return cls.explicit(np.array(probs))
+        # q_k = p_k / p_m from q_m = 1 at the mode m, each side while a geometric
+        # bound on its rest exceeds tail_mass / 2 of q_m; normalised by its sum
+        m = math.floor(lam)
+        above, k, q = [1.0], m + 1, lam / (m + 1)
+        while q > 0.5 * tail_mass * (1.0 - lam / (k + 1)):  # ratio <= lam / (k + 1)
+            above.append(q)
+            k += 1
+            q *= lam / k
+        below, k, q = [], m - 1, m / lam
+        while k >= 0 and q > 0.5 * tail_mass * (1.0 - k / lam):  # ratio <= k / lam
+            below.append(q)
+            q *= k / lam
+            k -= 1
+        p = np.array([0.0] * (k + 1) + below[::-1] + above)
+        return cls.explicit(p / p.sum())
 
 
 class ComposedIncidence(IncidenceModel):

@@ -172,8 +172,8 @@ class IncidenceModel:
         """Encoding used by the compiled simulation kernel.
 
         Returns ``(inner_kind, vec1, vec2, outer_kind, outer_params)`` for
-        models the kernel can evaluate, or ``None`` to force the generic
-        Python stepping path (custom callables).
+        models the kernel can evaluate, or ``None`` for custom callables,
+        which step on the kernel's Python twin through ``_phi_raw``.
         """
         if self._encoding is None:
             return None
@@ -357,11 +357,11 @@ class LastClassIncidence(IncidenceModel):
 class CustomIncidence(IncidenceModel):
     """User-supplied incidence, validated by sampling rather than analytically.
 
-    Construction only demands phi(0) = 0; the remaining regularity
-    conditions (range, gradient sign, r_n > 0, concavity) are checked by
-    :func:`validate_regularity`, whose report is advisory for custom
-    models.  Spectral analyses reject an inadmissible gradient at zero
-    when they actually need it.
+    Construction only demands phi(0) = 0 and a finite gradient at zero
+    of length n; the rest (range, gradient sign, r_n > 0, concavity) is
+    checked by :func:`validate_regularity`, whose report is advisory for
+    custom models.  Spectral analyses reject an inadmissible gradient at
+    zero when they actually need it.
 
     Args:
         func: callable mapping a length-n numpy vector to a float.
@@ -385,9 +385,7 @@ class CustomIncidence(IncidenceModel):
         z = float(func(np.zeros(self.n)))
         if not abs(z) <= 1e-14:  # NaN fails too
             raise ValueError(f"phi(0) must be 0, got {z:.3e}")
-        r = self._grad_raw(np.zeros(self.n))
-        r.flags.writeable = False
-        self.r = r
+        self.r = _as_vector(self._grad_raw(np.zeros(self.n)), "gradient at zero", self.n)
 
     def _phi_raw(self, I):
         return float(self._func(I))

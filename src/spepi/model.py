@@ -12,18 +12,14 @@ function phi from :mod:`spepi.incidence`.  The total population
 S + I1 + ... + In + R is conserved.
 
 ``simulate`` iterates the map to a stopping rule, recording the full
-trajectory; ``step`` is a one-step ``simulate``.  The update is written
-once in the stepping kernel (:mod:`spepi._kernels`, which serves the
-built-in families) and once in ``_simulate_generic`` (custom callables),
-in the same form: one ascending pass over the stages that also sums the
-prevalence, with the floating-point operations of the descending update
-and a separate sum (see :mod:`spepi._kernels`).  So ``simulate`` is
-bit-for-bit an iteration of ``step`` on either path.
-
-Both paths raise :class:`DynamicsError`, naming the step and the cause,
-for a phi outside [0, 1).  The kernel path also checks every row it
-records for non-finite or negative compartments and for S + Z + R
-drifting from N by more than ``CONSERVATION_TOL_REL * N``.
+trajectory; ``step`` is a one-step ``simulate``, so repeated steps
+reproduce it bit for bit.  The update, the stop rule and the row
+recording are written once, in :mod:`spepi._kernels`: a built-in family
+runs on ``run_chunk``, a custom callable on its Python twin through
+``phi_fn``.  Every recorded chunk is checked, and :class:`DynamicsError`
+names the first step whose phi lies outside [0, 1), whose compartments
+are not finite and nonnegative, or whose S + Z + R drifts from N by more
+than ``CONSERVATION_TOL_REL * N``.  The kernel stops at such a phi.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .incidence import DomainError, IncidenceModel, _as_vector, _population
+from .incidence import _EMPTY, DomainError, IncidenceModel, _as_vector, _population
 
 __all__ = [
     "DynamicsError",
@@ -216,7 +212,7 @@ class DynamicsError(DomainError):
 
 def _row_fault(S, I, R, phi, Z, N) -> str:
     """Why one recorded row (Python floats, I a list) is not admissible."""
-    if not 0.0 <= phi < 1.0:  # the bound IncidenceModel.phi puts on the generic path
+    if not 0.0 <= phi < 1.0:  # the bound IncidenceModel.phi puts on its value
         return f"phi = {phi!r} lies outside [0, 1)"
     values = [("S", S), *((f"I{j + 1}", x) for j, x in enumerate(I)), ("R", R), ("Z", Z)]
     for name, x in values:
@@ -256,8 +252,10 @@ def _check_rows(S, I, R, phi, Z, N, first_step) -> None:
 _FIRST_CHUNK_ROWS = 4096
 
 
-def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s):
+def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s, phi_fn=None):
     ik, v1, v2, ok, op = spec
+    # numba cannot call a Python callable, so a phi_fn runs on the twin
+    run_chunk = _kernels.run_chunk if phi_fn is None else _kernels.run_chunk_py
     max_rows = max_steps + 1
     S_cur = initial.S
     I_cur = initial.I.copy()
@@ -274,14 +272,14 @@ def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s):
         R_buf = np.empty(cap)
         phi_buf = np.empty(cap)
         Z_buf = np.empty(cap)
-        rows, status, S_cur, R_cur, phi_entry = _kernels.run_chunk(
+        rows, status, S_cur, R_cur, phi_entry = run_chunk(
             S_cur, I_cur, R_cur, phi_entry, gamma,
             ik, v1, v2, ok, op, eps_z, eps_s,
-            S_buf, I_buf, R_buf, phi_buf, Z_buf,
+            S_buf, I_buf, R_buf, phi_buf, Z_buf, phi_fn,
         )
         chunk = (S_buf[:rows], I_buf[:rows * n].reshape(rows, n), R_buf[:rows],
                  phi_buf[:rows], Z_buf[:rows])
-        _check_rows(*chunk, N, rows_total)
+        _check_rows(*chunk, N, rows_total)  # raises on an INVALID chunk's last row
         chunks.append(chunk)
         rows_total += rows
         if status == _kernels.CONVERGED or rows_total >= max_rows:
@@ -295,45 +293,15 @@ def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s):
 
 
 def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
-    # python loop on lists for incidence models the kernel cannot encode;
-    # the kernel's update and summation order
-    gamma = params.gamma.tolist()
-    keep = [1.0 - g for g in gamma]
-    n = params.n
-    S, I, R = initial.S, initial.I.tolist(), initial.R
-    Ss, Is, Rs, phis, Zs = [], [], [], [], []
-    z = initial.Z
-    conv = False
-    reason = "max-steps"
-    for t in range(max_steps + 1):
-        try:
-            phi = incidence.phi(I)
-        except DomainError as exc:
-            raise DynamicsError(t, str(exc)) from exc
-        Ss.append(S)
-        Is.append(I.copy())
-        Rs.append(R)
-        phis.append(phi)
-        Zs.append(z)
-        if conv:
-            reason = "converged"
-            break
-        if t == max_steps:
-            break
-        inc = phi * S
-        S_new = S - inc
-        flow = inc
-        z = 0.0
-        for j in range(n):
-            old = I[j]
-            new = keep[j] * old + flow
-            I[j] = new
-            z += new
-            flow = gamma[j] * old
-        R = R + flow
-        conv = (z < eps_z) and ((S - S_new) < eps_s)
-        S = S_new
-    return (np.array(Ss), np.array(Is), np.array(Rs), np.array(phis), np.array(Zs), reason)
+    """``_simulate_kernel`` for a model without an encoding: phi_fn calls it."""
+
+    def phi_fn(I):
+        # IncidenceModel.phi's value, exactly 0.0 at I = 0; the row checks
+        # stand in for its domain checks
+        return float(incidence._phi_raw(np.asarray(I, dtype=float))) if any(I) else 0.0
+
+    return _simulate_kernel(initial, params.gamma, params.N, (0, _EMPTY, _EMPTY, 0, _EMPTY),
+                            max_steps, eps_z, eps_s, phi_fn)
 
 
 def simulate(

@@ -103,20 +103,24 @@ _OUT_ARGS = {"S": 12, "I": 13, "R": 14, "phi": 15, "Z": 16}
 
 
 def corrupt_one_row(monkeypatch, step_no, field, value, stage=0):
-    """Wrap ``run_chunk`` so that the recorded row ``step_no`` holds a bad value.
+    """Wrap the chunk functions so that the recorded row ``step_no`` holds a bad value.
 
+    A built-in encoding steps through ``run_chunk`` and a custom callable
+    through ``run_chunk_py``; both are wrapped, and a run calls one of them.
     The kernel's own state is untouched; only the row it hands back is.
     """
-    real = kernels.run_chunk
     done = [0]
 
-    def run_chunk(*args):
-        result = real(*args)
-        k = step_no - done[0]
-        if 0 <= k < result[0]:
-            n = len(args[1])
-            args[_OUT_ARGS[field]][k * n + stage if field == "I" else k] = value
-        done[0] += result[0]
-        return result
+    def wrap(real):
+        def run_chunk(*args):
+            result = real(*args)
+            k = step_no - done[0]
+            if 0 <= k < result[0]:
+                n = len(args[1])
+                args[_OUT_ARGS[field]][k * n + stage if field == "I" else k] = value
+            done[0] += result[0]
+            return result
+        return run_chunk
 
-    monkeypatch.setattr(kernels, "run_chunk", run_chunk)
+    for name in ("run_chunk", "run_chunk_py"):
+        monkeypatch.setattr(kernels, name, wrap(getattr(kernels, name)))

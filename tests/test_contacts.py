@@ -21,6 +21,8 @@ from spepi import (
     validate_regularity,
 )
 
+from spepi.contacts import MASS_DEFICIT_TOL
+
 from conftest import draw_gammas
 
 
@@ -53,9 +55,51 @@ def test_poisson_truncation_tail():
 
 
 def test_poisson_truncation_raises_when_the_sum_stops_growing():
-    # exp(-800) underflows to 0, so the partial sum never moves
+    # the rounded partial sums at lam = 12 never reach 1 - 1e-16, the
+    # double just below 1
     with pytest.raises(ValueError, match="did not reach the requested tail mass"):
-        ContactDistribution.poisson_truncated(800.0)
+        ContactDistribution.poisson_truncated(12.0, tail_mass=1e-16)
+
+
+def _recurrence_table(lam, tail_mass=1e-12):
+    """The recurrence from p_0 = exp(-lam) that the tables below 708 use."""
+    probs = [math.exp(-lam)]
+    cum = probs[0]
+    while cum < 1.0 - tail_mass:
+        probs.append(probs[-1] * lam / len(probs))
+        cum += probs[-1]
+    return ContactDistribution.explicit(np.array(probs)).p
+
+
+@pytest.mark.parametrize("lam", np.geomspace(1e-3, 708.39, 41).tolist() + [708.0])
+def test_poisson_truncation_keeps_the_recurrence_while_exp_is_normal(lam):
+    assert math.exp(-lam) >= 2.2250738585072014e-308
+    got = ContactDistribution.poisson_truncated(lam).p
+    assert got.tobytes() == _recurrence_table(lam).tobytes()
+
+
+@pytest.mark.parametrize("lam", [708.5, 717.8, 718.0, 730.0, 746.0, 800.0, 1e3, 1e4, 1e5, 1e6])
+def test_poisson_truncation_for_large_means(lam):
+    # exp(-lam) is subnormal from about 708.4 and 0 from about 745.2; the
+    # recurrence started there missed the mass tolerance from about 718
+    d = ContactDistribution.poisson_truncated(lam)
+    assert abs(d.p.sum() - 1.0) <= MASS_DEFICIT_TOL
+    assert abs(d.mean - lam) <= 1e-12 * lam
+    assert np.all(d.p >= 0.0)
+    # the shape, against the pmf in 30 digits (math.lgamma's own error
+    # grows like lam log lam eps, 3e-9 at lam = 1e6)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for k in (lam - 6 * math.sqrt(lam), lam, lam + 6 * math.sqrt(lam)):
+            k = math.floor(k)
+            pmf = mpmath.exp(k * mpmath.log(lam) - lam - mpmath.loggamma(k + 1))
+            assert d.p[k] == pytest.approx(float(pmf), rel=1e-13)
+
+
+@pytest.mark.parametrize("tail_mass", [0.0, -1e-12, 1.0, 1.5, math.nan])
+def test_poisson_truncation_rejects_tail_mass_outside_0_1(tail_mass):
+    with pytest.raises(ValueError, match="tail_mass must lie in"):
+        ContactDistribution.poisson_truncated(3.0, tail_mass=tail_mass)
 
 
 def test_point_mass_one_contact_is_identity():

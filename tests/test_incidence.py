@@ -148,6 +148,23 @@ def test_custom_incidence_finite_difference_gradient():
     np.testing.assert_allclose(inc.r, 0.3 * np.array([0.5, 1.5]), rtol=1e-7)
 
 
+@pytest.mark.parametrize("grad, message", [
+    (lambda I: [0.1], "length 3, got 1"),
+    (lambda I: [0.1, 0.2, 0.3, 0.4], "length 3, got 4"),
+    (lambda I: [[0.1, 0.2, 0.3]], "1-d vector"),
+    (lambda I: [0.1, math.nan, 0.3], "finite"),
+    (lambda I: [0.1, 0.2, math.inf], "finite"),
+], ids=["short", "long", "2-d", "nan", "inf"])
+def test_custom_gradient_at_zero_must_be_a_finite_n_vector(grad, message):
+    # a length-1 gradient used to build, and spectral.delta broadcast it
+    # into a number for r0 without complaint
+    with pytest.raises(ValueError, match=f"gradient at zero must .*{message}"):
+        CustomIncidence(lambda I: 0.1 * float(I.sum()), n=3, N=1.0, grad=grad)
+    # the sign conditions stay advisory
+    inc = CustomIncidence(lambda I: 0.0, n=3, N=1.0, grad=lambda I: [-0.1, 0.0, 0.0])
+    assert not validate_regularity(inc).passed
+
+
 # --- first-order inequalities implied by concavity --------------------------
 
 @st.composite

@@ -77,6 +77,21 @@ def test_jit_and_python_twins_agree_bitwise():
         assert py[-1] == jit[-1]
         for a, b in zip(py[:-1], jit[:-1]):
             np.testing.assert_array_equal(a, b)
+    # a run that ends INVALID: phi rounds to 1.0 at step 2.  Compiling the
+    # kernel with phi_fn omitted prunes its phi_fn branch.
+    inc = ExponentialIncidence([60.0], N)
+    params = StageParams(gamma=[0.5], N=N)
+    ends = []
+    for run in (kernels.run_chunk_py, kernels.run_chunk_jit):
+        bufs = (np.empty(8), np.empty(8), np.empty(8), np.empty(8), np.empty(8))
+        result = run(0.99, np.array([0.01]), 0.0, -1.0, params.gamma,
+                     *inc.kernel_spec(), 1e-12, 1e-14, *bufs)
+        ends.append((result, [b[:result[0]] for b in bufs]))
+    (py_result, py_rows), (jit_result, jit_rows) = ends
+    assert py_result[:2] == (3, kernels.INVALID) and py_result[-1] == 1.0
+    assert tuple(jit_result) == tuple(py_result)
+    for a, b in zip(py_rows, jit_rows):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_all_kernel_encodings_match_object_phi():

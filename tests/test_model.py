@@ -22,6 +22,9 @@ from spepi import (
     step,
 )
 
+import spepi._kernels as kernels
+import spepi.model as model_mod
+
 from conftest import corrupt_one_row, random_initial, random_model
 
 
@@ -199,8 +202,6 @@ def test_simulate_incompatible_inputs():
 
 
 def test_multi_chunk_growth_matches_single_chunk(monkeypatch, figures):
-    import spepi.model as model_mod
-
     sc = figures["fig2-left"]
     ref = simulate(sc.initial, sc.params, sc.incidence, sc.stopping)
     monkeypatch.setattr(model_mod, "_FIRST_CHUNK_ROWS", 7)
@@ -345,6 +346,16 @@ def test_kernel_path_rejects_phi_one(monkeypatch, first_chunk_rows, S0, beta, st
     assert str(generic.value) == message
 
 
+def _fig2_left(figures, path):
+    """fig2-left's scenario and its incidence, or a custom mirror of it."""
+    sc = figures["fig2-left"]
+    inc = sc.incidence
+    if path == "custom":
+        inc = CustomIncidence(inc._phi_raw, n=inc.n, N=inc.N, grad=inc._grad_raw)
+    assert (inc.kernel_spec() is None) == (path == "custom")
+    return sc, inc
+
+
 @pytest.mark.parametrize("field, stage, value, cause", [
     ("phi", 0, 1.5, "phi = 1.5 lies outside [0, 1)"),
     ("phi", 0, math.nan, "phi = nan lies outside [0, 1)"),
@@ -354,16 +365,18 @@ def test_kernel_path_rejects_phi_one(monkeypatch, first_chunk_rows, S0, beta, st
     ("Z", 0, -0.25, "Z = -0.25 is negative"),
     ("S", 0, 0.5, "S + Z + R = "),
 ], ids=["phi-above-one", "phi-nan", "S-nan", "I-inf", "R-negative", "Z-negative", "drift"])
-@pytest.mark.parametrize("step_no", [0, 3, 9])
-def test_kernel_chunk_check_names_step_and_cause(monkeypatch, figures, field, stage,
+@pytest.mark.parametrize("path, step_no", [
+    pytest.param(path, step_no, id=f"{step_no}" if path == "kernel" else f"custom-{step_no}")
+    for path in ("kernel", "custom") for step_no in (0, 3, 9)
+])
+def test_kernel_chunk_check_names_step_and_cause(monkeypatch, figures, path, field, stage,
                                                   value, cause, step_no):
     # first chunks of 4 rows: step 9 lies in the second chunk of 8
     monkeypatch.setattr("spepi.model._FIRST_CHUNK_ROWS", 4)
-    sc = figures["fig2-left"]
-    assert sc.incidence.kernel_spec() is not None
+    sc, inc = _fig2_left(figures, path)
     corrupt_one_row(monkeypatch, step_no, field, value, stage)
     with pytest.raises(DynamicsError) as err:
-        simulate(sc.initial, sc.params, sc.incidence)
+        simulate(sc.initial, sc.params, inc)
     assert err.value.step == step_no
     assert err.value.cause.startswith(cause)
     assert str(err.value) == f"step {step_no}: {err.value.cause}"
@@ -371,14 +384,54 @@ def test_kernel_chunk_check_names_step_and_cause(monkeypatch, figures, field, st
 
 
 def test_kernel_chunk_check_reports_drift_beyond_tolerance(monkeypatch, figures):
-    sc = figures["fig2-left"]
-    traj = simulate(sc.initial, sc.params, sc.incidence)
-    S5 = float(traj.S[5])
-    N = sc.params.N
-    corrupt_one_row(monkeypatch, 5, "S", S5 + 2e-9 * N)
-    with pytest.raises(DynamicsError, match=r"^step 5: S \+ Z \+ R = .* drifts from "
-                                             r"N = 1\.0 by more than 1e-09 N$"):
-        simulate(sc.initial, sc.params, sc.incidence)
-    monkeypatch.undo()
-    corrupt_one_row(monkeypatch, 5, "S", S5 + 0.5e-9 * N)  # within the tolerance
-    np.testing.assert_array_equal(simulate(sc.initial, sc.params, sc.incidence).Z, traj.Z)
+    for path in ("kernel", "custom"):
+        sc, inc = _fig2_left(figures, path)
+        traj = simulate(sc.initial, sc.params, inc)
+        S5 = float(traj.S[5])
+        N = sc.params.N
+        corrupt_one_row(monkeypatch, 5, "S", S5 + 2e-9 * N)
+        with pytest.raises(DynamicsError, match=r"^step 5: S \+ Z \+ R = .* drifts from "
+                                                 r"N = 1\.0 by more than 1e-09 N$"):
+            simulate(sc.initial, sc.params, inc)
+        monkeypatch.undo()
+        corrupt_one_row(monkeypatch, 5, "S", S5 + 0.5e-9 * N)  # within the tolerance
+        np.testing.assert_array_equal(simulate(sc.initial, sc.params, inc).Z, traj.Z)
+        monkeypatch.undo()
+
+
+def test_custom_phi_outside_range_stops_the_run_at_its_step():
+    # the callable returns 1.5 at a step past BLOCK_ROWS and past the first
+    # chunk's end; the run must stop there, and never call it on the state
+    # that an inadmissible phi would step to
+    step_no = model_mod._FIRST_CHUNK_ROWS + kernels.BLOCK_ROWS + 5
+    beta = np.array([0.2, 0.2, 0.1])
+    calls = [0]
+
+    def f(I):
+        t = calls[0]
+        calls[0] += 1
+        assert t <= step_no, f"called again at step {t}"
+        return 1.5 if t == step_no else -math.expm1(-float(beta @ I))
+
+    inc = CustomIncidence(f, n=3, N=1.0, grad=lambda I: beta * math.exp(-float(beta @ I)))
+    calls[0] = 0  # construction evaluated phi(0)
+    initial = EpidemicState(S=0.99, I=[0.01, 0.0, 0.0], R=0.0)
+    with pytest.raises(DynamicsError) as err:
+        simulate(initial, StageParams(gamma=[0.6, 0.7, 0.3], N=1.0), inc,
+                 StoppingRule(max_steps=10**5, eps_z=0.0, eps_s=0.0))
+    assert err.value.step == step_no
+    assert str(err.value) == f"step {step_no}: phi = 1.5 lies outside [0, 1)"
+    assert calls[0] == step_no + 1
+
+
+def test_custom_models_never_reach_the_compiled_kernel(monkeypatch, figures):
+    # numba cannot call a Python callable: a custom run steps on the twin
+    def refuse(*args):
+        raise AssertionError("a custom model reached run_chunk")
+
+    sc, inc = _fig2_left(figures, "custom")
+    ref = simulate(sc.initial, sc.params, sc.incidence, sc.stopping)
+    monkeypatch.setattr(kernels, "run_chunk", refuse)
+    traj = simulate(sc.initial, sc.params, inc, sc.stopping)
+    assert traj.stop_reason == ref.stop_reason == "converged"
+    np.testing.assert_array_equal(traj.S, ref.S)

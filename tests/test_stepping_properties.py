@@ -1,12 +1,16 @@
 """The one-pass stage update against the two-pass form it replaced, bit for bit.
 
-The stepping kernel and the generic path update the stages in one
-ascending pass that also sums the prevalence.  ``_reference_run`` below
-keeps the earlier form: a descending loop over the stages, then a
-separate sequential sum of Z.  Every stage value has the same operands and
-Z the same summation order in both, so the trajectories must agree under
-``float.hex``.  The same runs check conservation, S non-increasing and
-I >= 0.
+Every run steps through the one kernel loop: a built-in encoding on
+``run_chunk``, and a custom callable (plain, last-class, or under either
+contact law) on the Python twin with ``phi_fn`` in place of the encoding.
+It updates the stages in one ascending pass that also sums the
+prevalence.  ``_reference_run`` below keeps the earlier form: a
+descending loop over the stages, then a separate sequential sum of Z.
+Every stage value has the same operands and Z the same summation order in
+both, so the trajectories must agree under ``float.hex``.  The small
+block and chunk sizes cross the twin's block edges and the run's chunk
+edges on every encoding.  The same runs check conservation, S
+non-increasing and I >= 0.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ def _weights(rng, n, total):
 
 
 def _inner(kind, rng, n, N):
+    if kind == "custom":
+        return _custom(rng, n, N)
     if kind == "linear":  # the range condition sum(beta) <= 1/N
         return LinearIncidence(_weights(rng, n, rng.uniform(0.01, 0.999) / N), N)
     if kind == "exponential":
@@ -103,11 +109,13 @@ def _custom(rng, n, N):
 
 def _model(encoding, rng, n, N):
     """An incidence model of ``encoding``; split-exponential needs n >= 2."""
-    if encoding == "custom":
-        return _custom(rng, n, N)
     if encoding.startswith("last-class-"):
         kind = encoding.removeprefix("last-class-")
         beta = rng.uniform(0.01, 0.999 if kind == "linear" else 6.0) / N
+        if kind == "custom":
+            return LastClassIncidence(n=n, N=N, kind=kind,
+                                      func=lambda x: -math.expm1(-beta * x),
+                                      deriv=lambda x: beta * math.exp(-beta * x))
         return LastClassIncidence(n=n, N=N, kind=kind, beta=beta)
     inner_kind, _, outer = encoding.partition("/")
     inner = _inner(inner_kind, rng, n, N)
@@ -146,7 +154,8 @@ ENCODINGS = [
     f"{inner}{outer}"
     for inner in ("linear", "exponential", "split-exponential")
     for outer in ("", "/explicit", "/poisson")
-] + ["last-class-linear", "last-class-exponential", "custom"]
+] + ["last-class-linear", "last-class-exponential", "last-class-custom",
+      "custom", "custom/explicit", "custom/poisson"]
 
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
@@ -179,7 +188,7 @@ def test_one_pass_update_matches_two_pass_bitwise(encoding, seed, n, gamma_mode,
     N = float(10.0 ** rng.uniform(-1.0, 2.0))
     params = StageParams(gamma=_gamma(rng, n, gamma_mode), N=N)
     inc = _model(encoding, rng, n, N)
-    assert (inc.kernel_spec() is None) == (encoding == "custom")
+    assert (inc.kernel_spec() is None) == ("custom" in encoding)
     initial = _initial(rng, n, N)
     tol = {"default": None, "zero": 0.0, "loose": 1e-4 * N}[eps]
     stopping = StoppingRule(max_steps=max_steps, eps_z=tol, eps_s=tol)

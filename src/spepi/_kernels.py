@@ -1,42 +1,33 @@
-"""Hot stepping kernels: numba-compiled with a plain-Python twin.
+"""Stepping kernels: Python source generated per encoding, numba optional.
 
-The same source is used for both paths; ``SPEPI_DISABLE_NUMBA=1`` (or a
-failed numba import) selects the uncompiled twin.  The ``deep-trajectory``
-workload of ``perfbench/`` times the two against each other.
+One function steps the map for each key (n, ``ik``, ``ok``, K): stage
+count, the encoding's kinds below and the contact table's length.  It is
+generated on first use and cached, so importing generates nothing.  Up
+to ``UNROLL_STAGES`` stages (``UNROLL_TABLE`` entries) each loop is
+written out over locals i0..i{n-1} and the like, with phi inlined; above,
+the key drops n (or K) for a loop form.  Both forms keep each operation's
+operands and order, so the bits do not depend on the form: stage j gets
+k_j * I_j + g_{j-1} * I_{j-1} with k_j = 1 - g_j (stage 1 gains phi * S,
+g_n * I_n goes to R), and Z = 0.0 + I_1 + ... + I_n and each phi sum
+upwards from 0.0.  Each built-in phi is written once, as its template in
+``_INNER`` or ``_OUTER``; ``inner_phi`` and ``outer_phi`` evaluate
+functions generated from them for the model objects.
 
-The kernel indexes its inputs with ``len()`` and flat subscripts only, so
-the compiled path runs it on numpy arrays and the twin on Python lists.
-Indexing a numpy array from Python boxes a numpy scalar per element, which
-made the twin about twice as slow.  The twin runs the source in blocks of
-at most ``BLOCK_ROWS`` rows on reused list buffers and copies each block
-into the caller's arrays: every list entry is a boxed float, and buffers
-as long as a whole chunk (8k rows and more) raised the peak memory of a
-deep run by several MB.
-
-Each step updates the stages in one ascending pass that also sums the
-prevalence: ``flow`` carries gamma[j-1] * I[j-1] (the old value) into
-stage j, and what leaves the last stage goes to R.  Every I[j] is
-computed from the same operands as in the descending form
-(1 - gamma[j]) * I[j] + gamma[j-1] * I[j-1], with 1 - gamma[j] taken once
-per call, and Z is still the sequential sum 0.0 + I[0] + ... + I[n-1] of
-the new values, so the result is bit-for-bit that of a descending update
-followed by a separate sum, at one pass instead of two.
-
-A model without a built-in encoding passes ``phi_fn`` to take its place,
-so every incidence steps through this one loop.  Those runs use the twin,
-as numba cannot call a Python callable (it prunes the branch when
-``phi_fn`` is None).  A row with phi outside [0, 1) (NaN too) ends the
-call with ``INVALID``, so that state is never stepped.
-
-Incidence encoding shared with :meth:`IncidenceModel.kernel_spec`.
-``inner_phi`` and ``outer_phi`` are the only definition of each built-in
-phi: the kernel, its twin and the model objects all evaluate through them.
+``run_chunk_py`` runs on Python lists (indexing numpy arrays from Python
+boxes a scalar per element), in blocks of at most ``BLOCK_ROWS`` rows on
+reused list buffers copied into the caller's arrays (chunk-long lists
+raised a deep run's peak memory by several MB).  With numba installed and
+``SPEPI_DISABLE_NUMBA`` unset, ``run_chunk`` is ``run_chunk_jit``, which
+hands the loop form of (ik, ok) to ``numba.njit``: numba optimises loops
+itself, so nine compiles at most serve every n and K.
+A model without an encoding passes ``phi_fn``, called in place of the
+template, on the twin only (numba cannot call Python).
 
   inner kind ``ik``:  0 linear  phi = v1 . I
                       1 exponential  phi = -expm1(-(v1 . I))
                       2 split  phi = sum_j v1[j] * -expm1(-v2[j] * I[j])
   outer kind ``ok``:  0 none
-                      1 explicit contact counts, probabilities op[0..K]
+                      1 explicit contact counts, probabilities op[0..K-1]
                       2 Poisson contacts, mean op[0]
 
 The explicit-contact sum 1 - sum_i p_i (1-Pi)^i is evaluated through the
@@ -53,137 +44,156 @@ CONVERGED = 1
 FULL = 0
 INVALID = 2
 
+BLOCK_ROWS = 1024
+# Unrolled, a step ran 1.3-1.7x faster than the loop form at every n tried
+# (8..2048), and a table sum about 1.5x up to K = 64 (none at 128).  The limit
+# on n is CPython's: 3.11 stops compiling the unrolled sums ("maximum recursion
+# depth exceeded during compilation") at n = 2987, less 1 per 3 caller frames
+UNROLL_STAGES = 1024
+UNROLL_TABLE = 64
+
+# The inner phi of kind ik: the term of stage j ({v}, {w}, {x} name v1[j],
+# v2[j] and I[j]), and phi from the sum ``acc`` of the terms
+_INNER = {0: ("{v} * {x}", "acc"), 1: ("{v} * {x}", "-expm1(-acc)"),
+          2: ("{v} * -expm1(-{w} * {x})", "acc")}
+# The contact law of kind ok on the inner value pi: its set-up, and the
+# step for each table entry {p} = op[i], i >= 1 (none for the closed form)
+_OUTER = {0: ("phi = pi", None),
+          1: ("q = 1.0 - pi; t = 0.0; phi = 0.0", "t = pi + q * t; phi += {p} * t"),
+          2: ("phi = -expm1(-{p} * pi)", None)}
+
+
+def _inner_lines(n, ik):
+    """Lines setting the inner value ``pi``: over locals i0.., a0.., b0..
+    when n is given, else over I, v1 and v2; ik None calls ``phi_fn``."""
+    if ik is None:
+        return [f"pi = phi_fn(({', '.join(f'i{j}' for j in range(n))},))" if n
+                else "pi = phi_fn(I)"]
+    term, inner = _INNER[ik]
+    if n:
+        return ["acc = " + " + ".join(["0.0"] + [
+            term.format(v=f"a{j}", w=f"b{j}", x=f"i{j}") for j in range(n)]), "pi = " + inner]
+    return ["acc = 0.0", "for j in range(len(I)):",
+            "    acc += " + term.format(v="v1[j]", w="v2[j]", x="I[j]"), "pi = " + inner]
+
+
+def _outer_lines(ok, K):
+    """Lines setting ``phi`` from ``pi``: over locals o0.. when K is given."""
+    head, step = _OUTER[ok]
+    lines = [head.format(p="o0" if K else "op[0]")]
+    if step and K:
+        return lines + [step.format(p=f"o{i}") for i in range(1, K)]
+    if step:
+        return lines + ["for i in range(1, len(op)):", "    " + step.format(p="op[i]")]
+    return lines
+
+
+def _stepper_lines(n, ik, ok, K):
+    """The stepper's body: ``run_chunk``'s contract without ik and ok."""
+    if not n:  # the loop form: the stages stay in the list or array I
+        setup = ["n = len(I)", "z = 0.0", "for j in range(n):", "    z += I[j]"]
+        update = ["flow = inc", "z = 0.0", "for j in range(n):", "    old = I[j]",
+                  "    new = (1.0 - gamma[j]) * old + flow", "    I[j] = new", "    z += new",
+                  "    flow = gamma[j] * old", "R = R + flow"]
+        store, leave = ["for j in range(n):", "    I_out[row * n + j] = I[j]"], []
+    else:
+        zsum = "z = " + " + ".join(["0.0"] + [f"i{j}" for j in range(n)])
+        setup = [f"g{j} = gamma[{j}]; k{j} = 1.0 - g{j}; i{j} = I[{j}]" for j in range(n)]
+        setup += [f"a{j} = v1[{j}]" for j in range(n) if ik is not None]
+        setup += [f"b{j} = v2[{j}]" for j in range(n) if ik == 2] + [zsum]
+        update = [f"R = R + g{n - 1} * i{n - 1}"]
+        update += [f"i{j} = k{j} * i{j} + g{j - 1} * i{j - 1}" for j in range(n - 1, 0, -1)]
+        update += ["i0 = k0 * i0 + inc", zsum]
+        store = [f"base = row * {n}"] + [f"I_out[base + {j}] = i{j}" for j in range(n)]
+        leave = [f"I[{j}] = i{j}" for j in range(n)]
+    setup += [f"o{i} = op[{i}]" for i in range(K or 0)]
+    update = ["inc = phi * S", "S_new = S - inc", *update,
+              "conv = z < eps_z and S - S_new < eps_s", "S = S_new"]
+    loop = _inner_lines(n, ik) + _outer_lines(ok, K) + [
+        "S_out[row] = S", "R_out[row] = R", "phi_out[row] = phi", "Z_out[row] = z",
+        *store, "row += 1", "if conv or row == cap or not 0.0 <= phi < 1.0:", "    break",
+        *update]
+    return ["cap = len(S_out)", *setup, "row = 0", "conv = False",
+            "if phi >= 0.0:  # the entry state is recorded: step past it",
+            *("    " + line for line in update),
+            "while True:", *("    " + line for line in loop), *leave,
+            "if not 0.0 <= phi < 1.0:", f"    return row, {INVALID}, S, R, phi",
+            f"return row, {CONVERGED} if conv else {FULL}, S, R, phi"]
+
+
+def _source(key):
+    """("inner", ik) or ("outer", ok): phi alone; (n, ik, ok, K): the stepper,
+    n or K None selecting a loop form and ik None a custom ``phi_fn``."""
+    if key[0] == "inner":
+        args, body = "I, v1, v2", _inner_lines(None, key[1]) + ["return pi"]
+    elif key[0] == "outer":
+        args, body = "pi, op", _outer_lines(key[1], None) + ["return phi"]
+    else:
+        args = ("S, I, R, phi, gamma, v1, v2, op, eps_z, eps_s, S_out, I_out, R_out, phi_out, "
+                "Z_out, phi_fn")
+        body = _stepper_lines(*key)
+    return "\n".join([f"def generated({args}):", *("    " + line for line in body)])
+
+
+_GENERATED = {}
+
+
+def _generated(key):
+    """The function for ``key``, generated and compiled on first use."""
+    fn = _GENERATED.get(key)
+    if fn is None:
+        namespace = {"expm1": math.expm1}
+        exec(compile(_source(key), f"<spepi._kernels {key}>", "exec"), namespace)
+        fn = _GENERATED[key] = namespace["generated"]
+    return fn
+
+
+def _key(n, ik, ok, K, phi_fn=None):
+    """The stepper's key: n and K None above the unroll limits, ik None for a phi_fn."""
+    return (n if n <= UNROLL_STAGES else None, ik if phi_fn is None else None, ok,
+            K if 0 < ok and K <= UNROLL_TABLE else None)
+
 
 def inner_phi(I, ik, v1, v2):
     """The inner incidence of kind ``ik`` at stage vector ``I``."""
-    acc = 0.0
-    if ik == 2:
-        for j in range(len(I)):
-            acc += v1[j] * -math.expm1(-v2[j] * I[j])
-        return acc
-    for j in range(len(I)):
-        acc += v1[j] * I[j]
-    return acc if ik == 0 else -math.expm1(-acc)
+    return _generated(("inner", ik))(I, v1, v2)
 
 
 def outer_phi(pi, ok, op):
     """The contact law of kind ``ok`` (1 or 2) applied to inner incidence ``pi``."""
-    if ok == 2:
-        return -math.expm1(-op[0] * pi)
-    q = 1.0 - pi
-    t = 0.0
-    phi = 0.0
-    for i in range(1, len(op)):
-        t = pi + q * t
-        phi += op[i] * t
-    return phi
+    return _generated(("outer", ok))(pi, op)
 
 
-def _run_chunk_impl(S, I, R, phi_entry, gamma,
-                    ik, v1, v2, ok, op,
-                    eps_z, eps_s,
-                    S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
-    """Advance the staged-progression map, recording one row per state.
-
-    Row ``k`` holds S, R, phi and the prevalence ||I||_1 (summed in the
-    stop rule's order) at ``S_out[k]`` etc., and stage j at
-    ``I_out[k * n + j]`` of the flat stage buffer.
-
-    phi_entry < 0: the entry state is unrecorded; record it first.
-    phi_entry >= 0: the entry state is already recorded with that incidence
-    value; advance once before recording.
-
-    phi is phi_fn(I) when phi_fn is given, else the encoding's value.  I is
-    updated in place.  Returns (rows_written, status, S, R, phi_last) with
-    status CONVERGED (||I|| < eps_z and the susceptible decrement fell below
-    eps_s), INVALID (the last row's phi lies outside [0, 1)) or FULL (buffer
-    exhausted, call again to continue).
-    """
-    n = len(I)
-    cap = len(S_out)
-    row = 0
-    conv = False
-    phi = phi_entry
-    advance = phi_entry >= 0.0
-    keep = [1.0 - gamma[j] for j in range(n)]
-    z = 0.0
-    for j in range(n):  # the entry state's prevalence
-        z += I[j]
-
-    while True:
-        if advance:
-            # the current state is recorded with incidence phi: step past it
-            inc = phi * S
-            S_new = S - inc
-            # one ascending pass: ``flow`` carries gamma[j-1] * (old I[j-1])
-            # into stage j, and out of the last stage into R
-            flow = inc
-            z = 0.0
-            for j in range(n):
-                old = I[j]
-                new = keep[j] * old + flow
-                I[j] = new
-                z += new
-                flow = gamma[j] * old
-            R = R + flow
-            conv = (z < eps_z) and ((S - S_new) < eps_s)
-            S = S_new
-
-        # incidence of the current (still unrecorded) state
-        if phi_fn is None:
-            phi = inner_phi(I, ik, v1, v2)
-            if ok != 0:
-                phi = outer_phi(phi, ok, op)
-        else:
-            phi = phi_fn(I)
-
-        S_out[row] = S
-        I_out[row * n:row * n + n] = I
-        R_out[row] = R
-        phi_out[row] = phi
-        Z_out[row] = z
-        row += 1
-        if not (phi >= 0.0 and phi < 1.0):  # NaN too
-            return row, INVALID, S, R, phi
-        if conv:
-            return row, CONVERGED, S, R, phi
-        if row == cap:
-            return row, FULL, S, R, phi
-        advance = True
-
-
-BLOCK_ROWS = 1024
-
-
-def run_chunk_py(S, I, R, phi_entry, gamma,
-                 ik, v1, v2, ok, op,
-                 eps_z, eps_s,
+def run_chunk_py(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
                  S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
-    """``_run_chunk_impl`` on Python lists, with the same arguments and result.
+    """Advance the map from (S, I, R), recording one row per state.
 
-    The numpy buffers are filled in blocks of at most ``BLOCK_ROWS`` rows;
-    each block after the first resumes on the state the previous one
-    recorded last.  ``I_out`` may be flat or (rows, n).
+    Row k holds S, R, phi and ||I||_1 (summed in the stop rule's order) at
+    ``S_out[k]`` etc., and stage j at ``I_out[k * n + j]`` (or ``[k, j]``).
+    phi < 0: the entry state is unrecorded and is recorded first; else
+    it was recorded with incidence phi and is stepped past.  A row's
+    phi is phi_fn(I) when given, else the encoding's; I is updated in
+    place.  Returns (rows, status, S, R, phi_last), status CONVERGED
+    (||I|| < eps_z and the S decrement < eps_s), INVALID (the last row's
+    phi lies outside [0, 1)) or FULL (buffer exhausted; call again).
     """
     n = len(I)
     cap = len(S_out)
+    step = _generated(_key(n, ik, ok, len(op), phi_fn))
     I_cur = I.tolist()
     gamma, v1, v2, op = gamma.tolist(), v1.tolist(), v2.tolist(), op.tolist()
     I_flat = I_out.reshape(-1)
     bufs = None
     done = 0
     status = FULL
-    phi = phi_entry
     while status == FULL and done < cap:
         rows_max = min(BLOCK_ROWS, cap - done)
         if bufs is None or len(bufs[0]) != rows_max:
             bufs = ([0.0] * rows_max, [0.0] * (rows_max * n), [0.0] * rows_max,
                     [0.0] * rows_max, [0.0] * rows_max)
         S_b, I_b, R_b, phi_b, Z_b = bufs
-        rows, status, S, R, phi = _run_chunk_impl(
-            S, I_cur, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
-            S_b, I_b, R_b, phi_b, Z_b, phi_fn,
-        )
+        rows, status, S, R, phi = step(S, I_cur, R, phi, gamma, v1, v2, op, eps_z, eps_s,
+                                       S_b, I_b, R_b, phi_b, Z_b, phi_fn)
         end = done + rows
         S_out[done:end] = S_b[:rows]
         I_flat[done * n:end * n] = I_b[:rows * n]
@@ -197,18 +207,24 @@ def run_chunk_py(S, I, R, phi_entry, gamma,
 
 try:  # pragma: no cover - exercised indirectly
     import numba
-    from numba.extending import register_jitable
-
-    # the kernel calls both helpers, so numba must know them before it compiles
-    register_jitable(inner_phi)
-    register_jitable(outer_phi)
-    run_chunk_jit = numba.njit(cache=True)(_run_chunk_impl)
-    _numba_available = True
 except ImportError:  # pragma: no cover
-    run_chunk_jit = None
-    _numba_available = False
+    numba = None
+_JITTED = {}
 
-using_numba = _numba_available and os.environ.get(
+
+def run_chunk_jit(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
+                  S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
+    """``run_chunk_py`` on arrays by the loop form of (ik, ok), compiled by
+    ``numba.njit`` on first use (no ``cache=True``: exec'd source has no
+    file).  numba cannot call a ``phi_fn``: those runs belong on the twin."""
+    step = _JITTED.get((ik, ok))
+    if step is None:
+        step = _JITTED[ik, ok] = numba.njit(_generated((None, ik, ok, None)))
+    return step(S, I, R, phi, gamma, v1, v2, op, eps_z, eps_s,
+                S_out, I_out.reshape(-1), R_out, phi_out, Z_out, phi_fn)
+
+
+using_numba = numba is not None and os.environ.get(
     "SPEPI_DISABLE_NUMBA", ""
 ).strip().lower() not in ("1", "true", "yes")
 

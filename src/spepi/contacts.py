@@ -16,7 +16,7 @@ phi(I) = 1 - exp(-lambda Pi(I)), evaluated without truncation.
 
 One class, :class:`ComposedIncidence`, serves both laws and reads its
 family name and kernel encoding from the :class:`ContactDistribution`.
-The stepping kernel's ``outer_phi`` (:mod:`spepi._kernels`) evaluates the
+``_kernels.outer_phi``, from the steppers' template, evaluates the
 law on the value of the inner model's own phi, so a custom or nested inner
 model works too, and a composition is closed-form when its inner model is.
 """
@@ -91,8 +91,9 @@ class ContactDistribution:
 
         While exp(-lam) is a normal double (lam up to about 708.4) this is
         p_{k+1} = p_k lam / (k + 1) from p_0 = exp(-lam) until the sum
-        reaches 1 - ``tail_mass``, and ValueError if it stops growing short
-        of that.  Above, it grows from the mode both ways and is normalised.
+        reaches 1 - ``tail_mass``; if the rounded sum stalls short of that,
+        it ends on a geometric bound on the rest and is normalised by its
+        own sum, as it is above, where it grows from the mode both ways.
         """
         lam = float(lam)
         if not 0.0 < lam < math.inf:
@@ -105,25 +106,32 @@ class ContactDistribution:
             while cum < 1.0 - tail_mass:
                 probs.append(probs[-1] * lam / len(probs))
                 grown = cum + probs[-1]
-                if grown == cum:
-                    raise ValueError("truncation did not reach the requested tail mass")
+                if grown == cum:  # the rounded sum stalls
+                    return _normalised_with_tail(probs, len(probs), lam, tail_mass)
                 cum = grown
             return cls.explicit(np.array(probs))
         # q_k = p_k / p_m from q_m = 1 at the mode m, each side while a geometric
         # bound on its rest exceeds tail_mass / 2 of q_m; normalised by its sum
         m = math.floor(lam)
-        above, k, q = [1.0], m + 1, lam / (m + 1)
-        while q > 0.5 * tail_mass * (1.0 - lam / (k + 1)):  # ratio <= lam / (k + 1)
-            above.append(q)
-            k += 1
-            q *= lam / k
         below, k, q = [], m - 1, m / lam
         while k >= 0 and q > 0.5 * tail_mass * (1.0 - k / lam):  # ratio <= k / lam
             below.append(q)
             q *= k / lam
             k -= 1
-        p = np.array([0.0] * (k + 1) + below[::-1] + above)
-        return cls.explicit(p / p.sum())
+        return _normalised_with_tail([0.0] * (k + 1) + below[::-1] + [1.0], m + 1, lam, tail_mass)
+
+
+def _normalised_with_tail(terms, k, lam, tail_mass):
+    """The Poisson ``terms`` up to k - 1, extended by terms k, k + 1, ... while
+    a geometric bound on the rest (ratios at most lam / (k + 1)) exceeds
+    tail_mass / 2 of their scale, as a table normalised by its own sum."""
+    q = terms[-1] * lam / k
+    while q > 0.5 * tail_mass * (1.0 - lam / (k + 1)):
+        terms.append(q)
+        k += 1
+        q *= lam / k
+    p = np.array(terms)
+    return ContactDistribution.explicit(p / p.sum())
 
 
 class ComposedIncidence(IncidenceModel):

@@ -23,14 +23,14 @@ Built-in families:
 Contact compositions over any of these live in :mod:`spepi.contacts`.
 
 A built-in family stores its kernel encoding ``_encoding``, evaluated by
-the stepping kernel's ``inner_phi`` (:mod:`spepi._kernels`), the one
-definition of its formula.  Having one makes the model ``analytic``: it
-meets the conditions above by construction, and only other models are
-sampled by :func:`validate_regularity`.  All exponential evaluations go
-through ``expm1``.  The naive form ``1 - exp(-x)`` has absolute
-granularity ~1e-16, which injects a spurious floor into long simulations
-(the infected classes then never decay below ~1e-16 and the trajectory
-acquires a fake endemic equilibrium).
+``_kernels.inner_phi`` from the template the generated steppers inline,
+the one definition of its formula.  An encoding makes the model
+``analytic``: it meets the conditions above by construction; only other
+models are sampled by :func:`validate_regularity`.  All exponential
+evaluations go through ``expm1``.  The naive form ``1 - exp(-x)`` has
+absolute granularity ~1e-16, which injects a spurious floor into long
+simulations (the infected classes then never decay below ~1e-16 and the
+trajectory acquires a fake endemic equilibrium).
 """
 
 from __future__ import annotations

@@ -13,13 +13,12 @@ S + I1 + ... + In + R is conserved.
 
 ``simulate`` iterates the map to a stopping rule, recording the full
 trajectory; ``step`` is a one-step ``simulate``, so repeated steps
-reproduce it bit for bit.  The update, the stop rule and the row
-recording are written once, in :mod:`spepi._kernels`: a built-in family
-runs on ``run_chunk``, a custom callable on its Python twin through
-``phi_fn``.  Every recorded chunk is checked, and :class:`DynamicsError`
-names the first step whose phi lies outside [0, 1), whose compartments
-are not finite and nonnegative, or whose S + Z + R drifts from N by more
-than ``CONSERVATION_TOL_REL * N``.  The kernel stops at such a phi.
+reproduce it bit for bit.  Every run steps through the stepper that
+:mod:`spepi._kernels` generates for its encoding; a custom callable's
+stepper calls ``phi_fn``, on the Python twin.  Each chunk is checked:
+:class:`DynamicsError` names the first step whose phi lies outside
+[0, 1), whose compartments are not finite and nonnegative, or whose
+S + Z + R drifts from N by more than ``CONSERVATION_TOL_REL * N``.
 """
 
 from __future__ import annotations
@@ -253,7 +252,6 @@ _FIRST_CHUNK_ROWS = 4096
 
 
 def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s, phi_fn=None):
-    ik, v1, v2, ok, op = spec
     # numba cannot call a Python callable, so a phi_fn runs on the twin
     run_chunk = _kernels.run_chunk if phi_fn is None else _kernels.run_chunk_py
     max_rows = max_steps + 1
@@ -273,8 +271,7 @@ def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s, phi_fn=No
         phi_buf = np.empty(cap)
         Z_buf = np.empty(cap)
         rows, status, S_cur, R_cur, phi_entry = run_chunk(
-            S_cur, I_cur, R_cur, phi_entry, gamma,
-            ik, v1, v2, ok, op, eps_z, eps_s,
+            S_cur, I_cur, R_cur, phi_entry, gamma, *spec, eps_z, eps_s,
             S_buf, I_buf, R_buf, phi_buf, Z_buf, phi_fn,
         )
         chunk = (S_buf[:rows], I_buf[:rows * n].reshape(rows, n), R_buf[:rows],

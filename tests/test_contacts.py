@@ -54,11 +54,41 @@ def test_poisson_truncation_tail():
     assert d.p.sum() == pytest.approx(1.0, abs=1e-15)
 
 
-def test_poisson_truncation_raises_when_the_sum_stops_growing():
+def _stalls(lam, tail_mass):
+    """Whether the rounded partial sums of the recurrence stop growing
+    before they reach 1 - tail_mass."""
+    p = cum = math.exp(-lam)
+    k = 0
+    while cum < 1.0 - tail_mass:
+        k += 1
+        p = p * lam / k
+        if cum + p == cum:
+            return True
+        cum += p
+    return False
+
+
+def test_poisson_truncation_ends_a_stalled_sum_on_its_tail_bound():
     # the rounded partial sums at lam = 12 never reach 1 - 1e-16, the
-    # double just below 1
-    with pytest.raises(ValueError, match="did not reach the requested tail mass"):
-        ContactDistribution.poisson_truncated(12.0, tail_mass=1e-16)
+    # double just below 1; the table ends on the geometric tail bound
+    assert _stalls(12.0, 1e-16)
+    d = ContactDistribution.poisson_truncated(12.0, tail_mass=1e-16)
+    assert abs(d.p.sum() - 1.0) <= MASS_DEFICIT_TOL
+    assert abs(d.mean - 12.0) <= 1e-12 * 12.0
+    K = d.p.size  # the geometric bound on the mass past the table
+    assert d.p[-1] * 12.0 / K / (1.0 - 12.0 / (K + 1)) <= 1e-16
+
+
+def test_poisson_truncation_at_tail_mass_1e_15_builds_on_the_recurrence_side():
+    # 12 of these means stall short of 1 - 1e-15 (the first near 62.3) and
+    # raised before.  The mean is off by the truncated tail's share, at
+    # most a few tail masses, so relative only from lam = 1 on.
+    lams = np.geomspace(1e-3, 708.39, 400).tolist()
+    assert sum(_stalls(lam, 1e-15) for lam in lams) >= 10
+    for lam in lams:
+        d = ContactDistribution.poisson_truncated(lam, tail_mass=1e-15)
+        assert abs(d.p.sum() - 1.0) <= MASS_DEFICIT_TOL, lam
+        assert abs(d.mean - lam) <= 1e-12 * max(lam, 1.0), lam
 
 
 def _recurrence_table(lam, tail_mass=1e-12):

@@ -1,0 +1,100 @@
+"""The generated steppers: one per key, none at import, and bitwise equal to
+the two-pass reference on both sides of each unroll limit."""
+
+from __future__ import annotations
+
+import collections
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import spepi._kernels as kernels
+from spepi import ContactDistribution, StageParams, StoppingRule, compose_incidence, simulate
+from spepi.cli import main
+
+from test_stepping_properties import _gamma, _hex, _initial, _inner, _model, _reference_run
+
+U = kernels.UNROLL_STAGES
+INNER_KINDS = ("linear", "exponential", "split-exponential", "custom")
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Count each key the generator writes source for, from an empty cache,
+    on the twin (with numba, built-in encodings would run the jit's loop form)."""
+    counts = collections.Counter()
+    source = kernels._source
+    monkeypatch.setattr(kernels, "_GENERATED", {})
+    monkeypatch.setattr(kernels, "_JITTED", {})
+    monkeypatch.setattr(kernels, "run_chunk", kernels.run_chunk_py)
+    monkeypatch.setattr(kernels, "_source", lambda key: counts.update([key]) or source(key))
+    return counts
+
+
+def test_each_key_is_generated_once_across_a_sweep(generated, tmp_path):
+    assert main(["sweep", "--scenario", "fig2-left", "--out", str(tmp_path / "sweep.csv"),
+                 "--param", "incidence.beta[2]", "--grid", "0.05:0.5:34"]) == 0
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 35
+    steppers = [key for key in generated if key[0] not in ("inner", "outer")]
+    assert steppers == [(3, 1, 0, None)]  # fig2-left: 3 stages, exponential
+    assert set(generated.values()) == {1}
+
+
+def test_importing_spepi_generates_nothing():
+    code = ("import spepi, spepi.cli, spepi._kernels as k; "
+            "print(len(k._GENERATED), len(k._JITTED))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kernels.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["0", "0"]
+
+
+def _check_against_reference(inc, rng, n, N, generated):
+    params = StageParams(gamma=_gamma(rng, n, "mixed"), N=N)
+    initial = _initial(rng, n, N)
+    stopping = StoppingRule(max_steps=300, eps_z=0.0, eps_s=0.0)
+    traj = simulate(initial, params, inc, stopping)
+    rows, reason = _reference_run(initial, params, inc, 300, 0.0, 0.0)
+    assert traj.stop_reason == reason
+    S, I, R, phi, Z = zip(*rows)
+    assert _hex(traj.S) == _hex(S)
+    assert _hex(traj.R) == _hex(R)
+    assert _hex(traj.phi) == _hex(phi)
+    assert _hex(traj.Z) == _hex(Z)
+    assert _hex(traj.I.ravel()) == _hex(x for row in I for x in row)
+    return [key for key in generated if key[0] not in ("inner", "outer")]
+
+
+@pytest.mark.parametrize("n", [U, U + 1], ids=["unrolled", "loop"])
+@pytest.mark.parametrize("encoding", [f"{inner}{outer}" for inner in INNER_KINDS
+                                      for outer in ("", "/explicit", "/poisson")])
+def test_stepper_matches_the_reference_at_the_unroll_limit(encoding, n, generated):
+    rng = np.random.default_rng([n, len(encoding)])
+    N = 2.0
+    inc = _model(encoding, rng, n, N)
+    spec = inc.kernel_spec()
+    steppers = _check_against_reference(inc, rng, n, N, generated)
+    if spec is None:  # a custom model calls phi_fn from the stepper
+        want = (n if n == U else None, None, 0, None)
+    else:
+        ik, _, _, ok, op = spec
+        want = (n if n == U else None, ik, ok, len(op) if ok else None)
+    assert steppers == [want]
+
+
+@pytest.mark.parametrize("K", [kernels.UNROLL_TABLE, kernels.UNROLL_TABLE + 1],
+                         ids=["unrolled", "loop"])
+@pytest.mark.parametrize("inner", INNER_KINDS)
+def test_stepper_matches_the_reference_on_long_contact_tables(inner, K, generated):
+    rng = np.random.default_rng([K, len(inner)])
+    n, N = 3, 2.0
+    inc = compose_incidence(_inner(inner, rng, n, N),
+                            ContactDistribution.explicit(rng.dirichlet(np.ones(K))))
+    steppers = _check_against_reference(inc, rng, n, N, generated)
+    if inner == "custom":
+        assert steppers == [(n, None, 0, None)]
+    else:
+        assert steppers == [(n, inc.kernel_spec()[0], 1, K if K == kernels.UNROLL_TABLE else None)]

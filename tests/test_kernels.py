@@ -53,7 +53,7 @@ def _run_both(initial, params, spec, max_steps=10**6, eps_z=1e-12, eps_s=1e-14):
         kernels.run_chunk = kernels.run_chunk_py
         py = _simulate_kernel(initial, params.gamma, params.N, spec, max_steps,
                               eps_z, eps_s)
-        if kernels.run_chunk_jit is not None:
+        if kernels.numba is not None:
             kernels.run_chunk = kernels.run_chunk_jit
             jit = _simulate_kernel(initial, params.gamma, params.N, spec, max_steps,
                                    eps_z, eps_s)
@@ -64,7 +64,7 @@ def _run_both(initial, params, spec, max_steps=10**6, eps_z=1e-12, eps_s=1e-14):
     return py, jit
 
 
-@pytest.mark.skipif(kernels.run_chunk_jit is None, reason="numba unavailable")
+@pytest.mark.skipif(kernels.numba is None, reason="numba unavailable")
 def test_jit_and_python_twins_agree_bitwise():
     rng = np.random.default_rng(11)
     for _ in range(10):
@@ -77,8 +77,21 @@ def test_jit_and_python_twins_agree_bitwise():
         assert py[-1] == jit[-1]
         for a, b in zip(py[:-1], jit[:-1]):
             np.testing.assert_array_equal(a, b)
-    # a run that ends INVALID: phi rounds to 1.0 at step 2.  Compiling the
-    # kernel with phi_fn omitted prunes its phi_fn branch.
+    # the loop forms: more stages than are unrolled, and a longer table
+    n = kernels.UNROLL_STAGES + 1
+    params = StageParams(gamma=np.linspace(0.3, 0.6, n), N=N)
+    initial = EpidemicState(S=0.99, I=np.full(n, 0.01 / n), R=0.0)
+    K = kernels.UNROLL_TABLE + 1
+    table = ContactDistribution.explicit(np.full(K, 1.0 / K))
+    for inc in (ExponentialIncidence(np.full(n, 1.3 / n), N),
+                compose_incidence(LinearIncidence(np.full(n, 0.65 / n), N), table)):
+        ik, _, _, ok, op = inc.kernel_spec()
+        assert kernels._key(n, ik, ok, len(op))[::3] == (None, None)
+        py, jit = _run_both(initial, params, inc.kernel_spec())
+        assert py[-1] == jit[-1] == "converged"
+        for a, b in zip(py[:-1], jit[:-1]):
+            np.testing.assert_array_equal(a, b)
+    # a run that ends INVALID: phi rounds to 1.0 at step 2
     inc = ExponentialIncidence([60.0], N)
     params = StageParams(gamma=[0.5], N=N)
     ends = []
@@ -142,33 +155,55 @@ def test_composed_kernel_full_run_matches_generic_path():
     np.testing.assert_array_equal(a.phi, b.phi)
 
 
-def test_numba_branch_registers_both_phi_helpers(monkeypatch):
-    # a stub numba records the order of calls; the kernel may only be
-    # compiled once both helpers it calls are registered
-    calls = []
+def test_numba_branch_compiles_the_generated_stepper(monkeypatch):
+    # a stub numba records what njit receives, and its "compiled" function
+    # records its calls and runs the generated source on the arrays.  The
+    # compiled path must be selected, compile nothing at import, compile
+    # the generated loop form of each (ik, ok) once, whatever the stage
+    # count, and give the twin's bits
+    compiled, ran = [], []
 
-    def njit(**options):
-        def compile_(fn):
-            calls.append(("njit", fn.__name__))
-            return fn
-        return compile_
+    def njit(fn, **options):
+        assert not options  # no cache=True: exec'd source has no file
+        compiled.append(fn)
+
+        def run(*args):
+            ran.append(fn)
+            return fn(*args)
+        return run
 
     stub = types.ModuleType("numba")
     stub.njit = njit
-    stub.extending = types.ModuleType("numba.extending")
-    stub.extending.register_jitable = lambda fn: calls.append(("register", fn)) or fn
     monkeypatch.setitem(sys.modules, "numba", stub)
-    monkeypatch.setitem(sys.modules, "numba.extending", stub.extending)
     monkeypatch.delenv("SPEPI_DISABLE_NUMBA", raising=False)
+    inc = KERNEL_MODELS[5]  # explicit contacts over exponential incidence
+    params = StageParams(gamma=[0.45, 0.75], N=N)
+    initial = EpidemicState(S=0.98, I=[0.015, 0.005], R=0.0)
     mod = importlib.reload(kernels)
     try:
-        assert calls == [("register", mod.inner_phi), ("register", mod.outer_phi),
-                         ("njit", "_run_chunk_impl")]
         assert mod.using_numba is True
         assert mod.run_chunk is mod.run_chunk_jit
+        assert compiled == [] and mod._GENERATED == {}
+        jit = simulate(initial, params, inc, StoppingRule())
+        key = (None, 1, 1, None)
+        assert compiled == [mod._GENERATED[key]]
+        assert ran and set(ran) == set(compiled)
+        simulate(initial, params, inc, StoppingRule(max_steps=9))
+        wider = compose_incidence(ExponentialIncidence([0.5, 1.0, 0.2], N),
+                                  ContactDistribution.explicit([0.2] * 5))
+        simulate(EpidemicState(S=0.98, I=[0.01, 0.005, 0.005], R=0.0),
+                 StageParams(gamma=[0.45, 0.75, 0.5], N=N), wider, StoppingRule())
+        mirror = CustomIncidence(lambda I: inc._phi_raw(np.asarray(I, float)), n=2, N=N)
+        simulate(initial, params, mirror, StoppingRule())  # on the twin
+        assert compiled == [mod._GENERATED[key]]
     finally:
         monkeypatch.undo()
         importlib.reload(kernels)
+    monkeypatch.setattr(kernels, "run_chunk", kernels.run_chunk_py)
+    twin = simulate(initial, params, inc, StoppingRule())
+    assert jit.stop_reason == twin.stop_reason == "converged"
+    for field in ("S", "I", "R", "phi", "Z"):
+        np.testing.assert_array_equal(getattr(jit, field), getattr(twin, field))
 
 
 INNER_MODELS = [
@@ -265,11 +300,14 @@ def _drive(run, inc, params, I0, cap, eps_z):
 
 @pytest.mark.parametrize("cap", [1, 1023, 1024, 1025, 2500])
 @pytest.mark.parametrize("inc", KERNEL_MODELS, ids=_encoding_id)
-def test_impl_on_numpy_arrays_matches_python_twin(inc, cap):
-    # the numpy-array form of the kernel, with a flat stage buffer, is the one
-    # numba compiles; the twin runs the same source on lists in blocks of
-    # BLOCK_ROWS rows.  The run converges at row 2300, inside the third block
-    # of a 2500-row chunk, so chunk and block edges both fall inside it
+def test_impl_on_numpy_arrays_matches_python_twin(inc, cap, monkeypatch):
+    # the compiled path runs the generated stepper on numpy arrays with a
+    # flat stage buffer; here an identity njit runs that source uncompiled.
+    # The twin runs it on lists in blocks of BLOCK_ROWS rows.  The run
+    # converges at row 2300, inside the third block of a 2500-row chunk, so
+    # chunk and block edges both fall inside it
+    monkeypatch.setattr(kernels, "numba", types.SimpleNamespace(njit=lambda fn: fn))
+    monkeypatch.setattr(kernels, "_JITTED", {})
     n = inc.n
     params = StageParams(gamma=np.linspace(0.05, 0.1, n), N=N)
     I0 = np.full(n, 0.02 / n)
@@ -278,7 +316,7 @@ def test_impl_on_numpy_arrays_matches_python_twin(inc, cap):
                     StoppingRule(max_steps=steps, eps_z=0.0, eps_s=0.0))
     eps_z = float(np.nextafter(free.Z[-1], np.inf))
     py_rows, py_end = _drive(kernels.run_chunk_py, inc, params, I0, cap, eps_z)
-    np_rows, np_end = _drive(kernels._run_chunk_impl, inc, params, I0, cap, eps_z)
+    np_rows, np_end = _drive(kernels.run_chunk_jit, inc, params, I0, cap, eps_z)
     assert len(py_rows[0]) == steps + 1
     for got, want in zip(py_rows, np_rows):
         np.testing.assert_array_equal(got, want)

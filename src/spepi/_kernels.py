@@ -1,4 +1,4 @@
-"""Stepping kernels: Python source generated per encoding, numba optional.
+"""The stepping kernel: Python source generated per encoding.
 
 One function steps the map for each key (n, ``ik``, ``ok``, K): stage
 count, the encoding's kinds below and the contact table's length.  It is
@@ -13,15 +13,12 @@ upwards from 0.0.  Each built-in phi is written once, as its template in
 ``_INNER`` or ``_OUTER``; ``inner_phi`` and ``outer_phi`` evaluate
 functions generated from them for the model objects.
 
-``run_chunk_py`` runs on Python lists (indexing numpy arrays from Python
-boxes a scalar per element), in blocks of at most ``BLOCK_ROWS`` rows on
-reused list buffers copied into the caller's arrays (chunk-long lists
-raised a deep run's peak memory by several MB).  With numba installed and
-``SPEPI_DISABLE_NUMBA`` unset, ``run_chunk`` is ``run_chunk_jit``, which
-hands the loop form of (ik, ok) to ``numba.njit``: numba optimises loops
-itself, so nine compiles at most serve every n and K.
+``run_chunk`` steps every run, on Python lists (indexing numpy arrays
+from Python boxes a scalar per element), in blocks of at most
+``BLOCK_ROWS`` rows on reused list buffers copied into the caller's
+arrays (chunk-long lists raised a deep run's peak memory by several MB).
 A model without an encoding passes ``phi_fn``, called in place of the
-template, on the twin only (numba cannot call Python).
+template.
 
   inner kind ``ik``:  0 linear  phi = v1 . I
                       1 exponential  phi = -expm1(-(v1 . I))
@@ -38,7 +35,6 @@ relative precision for tiny Pi; the direct form cancels catastrophically.
 from __future__ import annotations
 
 import math
-import os
 
 CONVERGED = 1
 FULL = 0
@@ -164,8 +160,8 @@ def outer_phi(pi, ok, op):
     return _generated(("outer", ok))(pi, op)
 
 
-def run_chunk_py(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
-                 S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
+def run_chunk(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
+              S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
     """Advance the map from (S, I, R), recording one row per state.
 
     Row k holds S, R, phi and ||I||_1 (summed in the stop rule's order) at
@@ -205,27 +201,6 @@ def run_chunk_py(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
     return done, status, S, R, phi
 
 
-try:  # pragma: no cover - exercised indirectly
-    import numba
-except ImportError:  # pragma: no cover
-    numba = None
-_JITTED = {}
-
-
-def run_chunk_jit(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
-                  S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
-    """``run_chunk_py`` on arrays by the loop form of (ik, ok), compiled by
-    ``numba.njit`` on first use (no ``cache=True``: exec'd source has no
-    file).  numba cannot call a ``phi_fn``: those runs belong on the twin."""
-    step = _JITTED.get((ik, ok))
-    if step is None:
-        step = _JITTED[ik, ok] = numba.njit(_generated((None, ik, ok, None)))
-    return step(S, I, R, phi, gamma, v1, v2, op, eps_z, eps_s,
-                S_out, I_out.reshape(-1), R_out, phi_out, Z_out, phi_fn)
-
-
-using_numba = numba is not None and os.environ.get(
-    "SPEPI_DISABLE_NUMBA", ""
-).strip().lower() not in ("1", "true", "yes")
-
-run_chunk = run_chunk_jit if using_numba else run_chunk_py
+# perfbench/worker.py reads this for the run's environment record; there is
+# no compiled path, so it is always False
+using_numba = False

@@ -169,11 +169,11 @@ class IncidenceModel:
         raise NotImplementedError
 
     def kernel_spec(self):
-        """Encoding used by the compiled simulation kernel.
+        """The encoding ``_kernels.run_chunk`` generates a stepper for.
 
         Returns ``(inner_kind, vec1, vec2, outer_kind, outer_params)`` for
-        models the kernel can evaluate, or ``None`` for custom callables,
-        which step on the kernel's Python twin through ``_phi_raw``.
+        models the stepper can evaluate, or ``None`` for custom callables,
+        whose stepper calls ``_phi_raw``.
         """
         if self._encoding is None:
             return None

@@ -13,9 +13,9 @@ S + I1 + ... + In + R is conserved.
 
 ``simulate`` iterates the map to a stopping rule, recording the full
 trajectory; ``step`` is a one-step ``simulate``, so repeated steps
-reproduce it bit for bit.  Every run steps through the stepper that
-:mod:`spepi._kernels` generates for its encoding; a custom callable's
-stepper calls ``phi_fn``, on the Python twin.  Each chunk is checked:
+reproduce it bit for bit.  Every run steps through
+``_kernels.run_chunk``, on the stepper generated for its encoding; a
+custom callable's stepper calls ``phi_fn``.  Each chunk is checked:
 :class:`DynamicsError` names the first step whose phi lies outside
 [0, 1), whose compartments are not finite and nonnegative, or whose
 S + Z + R drifts from N by more than ``CONSERVATION_TOL_REL * N``.
@@ -252,8 +252,6 @@ _FIRST_CHUNK_ROWS = 4096
 
 
 def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s, phi_fn=None):
-    # numba cannot call a Python callable, so a phi_fn runs on the twin
-    run_chunk = _kernels.run_chunk if phi_fn is None else _kernels.run_chunk_py
     max_rows = max_steps + 1
     S_cur = initial.S
     I_cur = initial.I.copy()
@@ -270,7 +268,7 @@ def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s, phi_fn=No
         R_buf = np.empty(cap)
         phi_buf = np.empty(cap)
         Z_buf = np.empty(cap)
-        rows, status, S_cur, R_cur, phi_entry = run_chunk(
+        rows, status, S_cur, R_cur, phi_entry = _kernels.run_chunk(
             S_cur, I_cur, R_cur, phi_entry, gamma, *spec, eps_z, eps_s,
             S_buf, I_buf, R_buf, phi_buf, Z_buf, phi_fn,
         )

@@ -53,7 +53,7 @@ from .incidence import (
     LinearIncidence,
     SplitExponentialIncidence,
 )
-from .model import DEFAULT_MAX_STEPS, EpidemicState, StageParams, StoppingRule
+from .model import EpidemicState, StageParams, StoppingRule
 
 __all__ = [
     "Scenario",
@@ -204,11 +204,14 @@ def scenario_from_dict(data: dict) -> Scenario:
 
         where = "stopping"
         stop = data.get("stopping", {})
-        stopping = StoppingRule(
-            max_steps=int(stop.get("max_steps", DEFAULT_MAX_STEPS)),
-            eps_z=float(stop["eps_z"]) if "eps_z" in stop else None,
-            eps_s=float(stop["eps_s"]) if "eps_s" in stop else None,
-        )
+        keys = (("max_steps", _parse_int), ("eps_z", _parse_float), ("eps_s", _parse_float))
+        known = [key for key, _ in keys]
+        unknown = sorted(set(stop) - set(known))
+        if unknown:
+            raise ScenarioError(f"stopping: unknown key(s) {', '.join(unknown)}; "
+                                f"known: {', '.join(known)}")
+        stopping = StoppingRule(**{key: parse(stop[key], f"stopping.{key}")
+                                   for key, parse in keys if key in stop})
         stopping.resolve(params.N)
     except ValueError as exc:
         if isinstance(exc, ScenarioError):
@@ -311,6 +314,13 @@ def set_scenario_value(data: dict, path: str, value: float) -> None:
         raise ScenarioError(f"sweep path {path!r}: {exc}") from exc
     if section_key not in data or key not in data[section_key]:
         raise ScenarioError(f"sweep path {path!r}: no such scenario entry")
+    if section_key == "scenario" or key in ("family", "pi_family"):
+        raise ScenarioError(f"sweep path {path!r}: {section_key}.{key} is not numeric")
+    if index is None and key in ("max_steps", "n", "pi_n"):  # parsed by _parse_int
+        if not float(value).is_integer():
+            raise ScenarioError(f"sweep path {path!r}: {key} takes integers, got {value!r}")
+        data[section_key][key] = str(int(value))
+        return
     if index is None:
         data[section_key][key] = repr(float(value))
         return

@@ -3,7 +3,8 @@
 ``perfbench/tracing.PATCHES`` wraps entry functions by module and
 attribute name, and reads ``run_chunk``'s arguments by position.  A
 renamed function or a moved argument would make traced runs fail or
-count the wrong thing, so both are checked here.
+count the wrong thing, so both are checked here, along with the flag
+``perfbench/worker.py`` reads.
 """
 
 from __future__ import annotations
@@ -40,10 +41,15 @@ def test_every_patched_name_resolves(module, attr):
     assert callable(owner)
 
 
-@pytest.mark.parametrize("name", ["run_chunk", "run_chunk_py", "run_chunk_jit"])
-def test_run_chunk_arguments_keep_their_positions(name):
-    params = list(inspect.signature(getattr(kernels, name)).parameters)
+def test_run_chunk_arguments_keep_their_positions():
+    params = list(inspect.signature(kernels.run_chunk).parameters)
     assert params[8] == "ok"
     assert params[12:17] == ["S_out", "I_out", "R_out", "phi_out", "Z_out"]
     assert {field: params[i] for field, i in _OUT_ARGS.items()} == {
         "S": "S_out", "I": "I_out", "R": "R_out", "phi": "phi_out", "Z": "Z_out"}
+
+
+def test_the_kernel_path_flag_the_worker_reads_is_false():
+    # perfbench/worker.py reads spepi._kernels.using_numba for each run's
+    # environment record; there is one stepping path, so it is False
+    assert kernels.using_numba is False

@@ -277,6 +277,21 @@ def test_sweep_rejects_bad_grid_and_path(tmp_path, capsys):
                  "--param", "incidence.beta[2]", "--grid", ""]) == 1
     assert main(["sweep", "--scenario", "fig2-left", "--out", str(out),
                  "--param", "nothing.here", "--grid", "1,2"]) == 1
+    assert main(["sweep", "--scenario", "fig2-left", "--out", str(out),
+                 "--param", "scenario.label", "--grid", "1,2"]) == 1
+    assert "scenario.label is not numeric" in capsys.readouterr().err
+    assert main(["sweep", "--scenario", "fig2-left", "--out", str(out),
+                 "--param", "stopping.max_steps", "--grid", "100,200.5"]) == 1
+    assert "max_steps takes integers, got 200.5" in capsys.readouterr().err
+
+
+def test_sweep_over_max_steps(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--scenario", "fig2-left", "--out", str(out),
+                 "--param", "stopping.max_steps", "--grid", "100,200"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["100", "200"]
+    assert rows[0][2] != rows[1][2]  # S_inf moves with the cap
 
 
 def test_sweep_deterministic(tmp_path):

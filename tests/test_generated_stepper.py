@@ -23,13 +23,10 @@ INNER_KINDS = ("linear", "exponential", "split-exponential", "custom")
 
 @pytest.fixture
 def generated(monkeypatch):
-    """Count each key the generator writes source for, from an empty cache,
-    on the twin (with numba, built-in encodings would run the jit's loop form)."""
+    """Count each key the generator writes source for, from an empty cache."""
     counts = collections.Counter()
     source = kernels._source
     monkeypatch.setattr(kernels, "_GENERATED", {})
-    monkeypatch.setattr(kernels, "_JITTED", {})
-    monkeypatch.setattr(kernels, "run_chunk", kernels.run_chunk_py)
     monkeypatch.setattr(kernels, "_source", lambda key: counts.update([key]) or source(key))
     return counts
 
@@ -45,11 +42,11 @@ def test_each_key_is_generated_once_across_a_sweep(generated, tmp_path):
 
 def test_importing_spepi_generates_nothing():
     code = ("import spepi, spepi.cli, spepi._kernels as k; "
-            "print(len(k._GENERATED), len(k._JITTED))")
+            "print(len(k._GENERATED))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kernels.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0"]
 
 
 def _check_against_reference(inc, rng, n, N, generated):

@@ -1,11 +1,9 @@
-"""Compiled kernel vs plain-Python twin: identical trajectories, all encodings."""
+"""The stepping kernel: every encoding against the model objects, chunk
+splicing, and the INVALID ending."""
 
 from __future__ import annotations
 
-import importlib
 import math
-import sys
-import types
 
 import numpy as np
 import pytest
@@ -22,9 +20,9 @@ from spepi import (
     poisson_incidence,
     simulate,
 )
-from spepi.model import EpidemicState, StageParams, StoppingRule, _simulate_kernel
+from spepi.model import EpidemicState, StageParams, StoppingRule
 
-from conftest import random_initial, random_model
+from conftest import random_initial
 
 N = 1.0
 # one model per kernel encoding (inner kind ik, outer kind ok)
@@ -47,66 +45,6 @@ def _encoding_id(inc):
     return f"{inc.family}-ik{ik}-ok{ok}"
 
 
-def _run_both(initial, params, spec, max_steps=10**6, eps_z=1e-12, eps_s=1e-14):
-    current = kernels.run_chunk
-    try:
-        kernels.run_chunk = kernels.run_chunk_py
-        py = _simulate_kernel(initial, params.gamma, params.N, spec, max_steps,
-                              eps_z, eps_s)
-        if kernels.numba is not None:
-            kernels.run_chunk = kernels.run_chunk_jit
-            jit = _simulate_kernel(initial, params.gamma, params.N, spec, max_steps,
-                                   eps_z, eps_s)
-        else:  # pragma: no cover - numba always present in CI
-            jit = py
-    finally:
-        kernels.run_chunk = current
-    return py, jit
-
-
-@pytest.mark.skipif(kernels.numba is None, reason="numba unavailable")
-def test_jit_and_python_twins_agree_bitwise():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        params, inc = random_model(rng)
-        initial = random_initial(rng, params)
-        spec = inc.kernel_spec()
-        assert spec is not None
-        py, jit = _run_both(initial, params, spec,
-                            eps_z=1e-12 * params.N, eps_s=1e-14 * params.N)
-        assert py[-1] == jit[-1]
-        for a, b in zip(py[:-1], jit[:-1]):
-            np.testing.assert_array_equal(a, b)
-    # the loop forms: more stages than are unrolled, and a longer table
-    n = kernels.UNROLL_STAGES + 1
-    params = StageParams(gamma=np.linspace(0.3, 0.6, n), N=N)
-    initial = EpidemicState(S=0.99, I=np.full(n, 0.01 / n), R=0.0)
-    K = kernels.UNROLL_TABLE + 1
-    table = ContactDistribution.explicit(np.full(K, 1.0 / K))
-    for inc in (ExponentialIncidence(np.full(n, 1.3 / n), N),
-                compose_incidence(LinearIncidence(np.full(n, 0.65 / n), N), table)):
-        ik, _, _, ok, op = inc.kernel_spec()
-        assert kernels._key(n, ik, ok, len(op))[::3] == (None, None)
-        py, jit = _run_both(initial, params, inc.kernel_spec())
-        assert py[-1] == jit[-1] == "converged"
-        for a, b in zip(py[:-1], jit[:-1]):
-            np.testing.assert_array_equal(a, b)
-    # a run that ends INVALID: phi rounds to 1.0 at step 2
-    inc = ExponentialIncidence([60.0], N)
-    params = StageParams(gamma=[0.5], N=N)
-    ends = []
-    for run in (kernels.run_chunk_py, kernels.run_chunk_jit):
-        bufs = (np.empty(8), np.empty(8), np.empty(8), np.empty(8), np.empty(8))
-        result = run(0.99, np.array([0.01]), 0.0, -1.0, params.gamma,
-                     *inc.kernel_spec(), 1e-12, 1e-14, *bufs)
-        ends.append((result, [b[:result[0]] for b in bufs]))
-    (py_result, py_rows), (jit_result, jit_rows) = ends
-    assert py_result[:2] == (3, kernels.INVALID) and py_result[-1] == 1.0
-    assert tuple(jit_result) == tuple(py_result)
-    for a, b in zip(py_rows, jit_rows):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_all_kernel_encodings_match_object_phi():
     # each family encoding must reproduce the Python-object incidence values
     rng = np.random.default_rng(5)
@@ -118,23 +56,10 @@ def test_all_kernel_encodings_match_object_phi():
             assert traj.phi[t] == inc.phi(traj.I[t]), (inc.family, t)
 
 
-def test_env_flag_selects_python_twin(monkeypatch):
-    import importlib
-
-    monkeypatch.setenv("SPEPI_DISABLE_NUMBA", "1")
-    mod = importlib.reload(kernels)
-    try:
-        assert mod.using_numba is False
-        assert mod.run_chunk is mod.run_chunk_py
-    finally:
-        monkeypatch.delenv("SPEPI_DISABLE_NUMBA")
-        importlib.reload(kernels)
-
-
 def test_composed_kernel_full_run_matches_generic_path():
-    # a contact-composed model runs through the compiled path; wrapping the
-    # identical evaluation as a custom callable forces the generic Python
-    # loop, and the two full trajectories must coincide exactly
+    # a contact-composed model steps on its encoding's stepper; wrapping the
+    # identical evaluation as a custom callable steps on a stepper that calls
+    # it, and the two full trajectories must coincide exactly
     from spepi import CustomIncidence
 
     N = 1.0
@@ -153,57 +78,6 @@ def test_composed_kernel_full_run_matches_generic_path():
     np.testing.assert_array_equal(a.S, b.S)
     np.testing.assert_array_equal(a.I, b.I)
     np.testing.assert_array_equal(a.phi, b.phi)
-
-
-def test_numba_branch_compiles_the_generated_stepper(monkeypatch):
-    # a stub numba records what njit receives, and its "compiled" function
-    # records its calls and runs the generated source on the arrays.  The
-    # compiled path must be selected, compile nothing at import, compile
-    # the generated loop form of each (ik, ok) once, whatever the stage
-    # count, and give the twin's bits
-    compiled, ran = [], []
-
-    def njit(fn, **options):
-        assert not options  # no cache=True: exec'd source has no file
-        compiled.append(fn)
-
-        def run(*args):
-            ran.append(fn)
-            return fn(*args)
-        return run
-
-    stub = types.ModuleType("numba")
-    stub.njit = njit
-    monkeypatch.setitem(sys.modules, "numba", stub)
-    monkeypatch.delenv("SPEPI_DISABLE_NUMBA", raising=False)
-    inc = KERNEL_MODELS[5]  # explicit contacts over exponential incidence
-    params = StageParams(gamma=[0.45, 0.75], N=N)
-    initial = EpidemicState(S=0.98, I=[0.015, 0.005], R=0.0)
-    mod = importlib.reload(kernels)
-    try:
-        assert mod.using_numba is True
-        assert mod.run_chunk is mod.run_chunk_jit
-        assert compiled == [] and mod._GENERATED == {}
-        jit = simulate(initial, params, inc, StoppingRule())
-        key = (None, 1, 1, None)
-        assert compiled == [mod._GENERATED[key]]
-        assert ran and set(ran) == set(compiled)
-        simulate(initial, params, inc, StoppingRule(max_steps=9))
-        wider = compose_incidence(ExponentialIncidence([0.5, 1.0, 0.2], N),
-                                  ContactDistribution.explicit([0.2] * 5))
-        simulate(EpidemicState(S=0.98, I=[0.01, 0.005, 0.005], R=0.0),
-                 StageParams(gamma=[0.45, 0.75, 0.5], N=N), wider, StoppingRule())
-        mirror = CustomIncidence(lambda I: inc._phi_raw(np.asarray(I, float)), n=2, N=N)
-        simulate(initial, params, mirror, StoppingRule())  # on the twin
-        assert compiled == [mod._GENERATED[key]]
-    finally:
-        monkeypatch.undo()
-        importlib.reload(kernels)
-    monkeypatch.setattr(kernels, "run_chunk", kernels.run_chunk_py)
-    twin = simulate(initial, params, inc, StoppingRule())
-    assert jit.stop_reason == twin.stop_reason == "converged"
-    for field in ("S", "I", "R", "phi", "Z"):
-        np.testing.assert_array_equal(getattr(jit, field), getattr(twin, field))
 
 
 INNER_MODELS = [
@@ -266,7 +140,7 @@ def test_chunk_resume_restarts_cleanly(inc, cap):
     for _ in range(12 // cap):
         bufs = (np.empty(cap), np.empty((cap, n)), np.empty(cap), np.empty(cap),
                 np.empty(cap))
-        rows, status, S, R, phi_entry = kernels.run_chunk_py(
+        rows, status, S, R, phi_entry = kernels.run_chunk(
             S, I, R, phi_entry, params.gamma, *inc.kernel_spec(), 1e-12, 1e-14, *bufs
         )
         assert rows == cap and status == kernels.FULL
@@ -279,16 +153,16 @@ def test_chunk_resume_restarts_cleanly(inc, cap):
         np.testing.assert_array_equal(got, want)
 
 
-def _drive(run, inc, params, I0, cap, eps_z):
-    # call ``run`` with fresh cap-row buffers until it converges; returns the
-    # spliced rows and the state the last call handed back
+def _drive(inc, params, I0, cap, eps_z):
+    # call run_chunk with fresh cap-row buffers until it converges; returns
+    # the spliced rows and the state the last call handed back
     n = inc.n
     S, I, R, phi = params.N - I0.sum(), I0.copy(), 0.0, -1.0
     chunks = []
     while True:
         bufs = (np.empty(cap), np.empty(cap * n), np.empty(cap), np.empty(cap),
                 np.empty(cap))
-        rows, status, S, R, phi = run(
+        rows, status, S, R, phi = kernels.run_chunk(
             S, I, R, phi, params.gamma, *inc.kernel_spec(), eps_z, 1.0, *bufs
         )
         S_b, I_b, R_b, phi_b, Z_b = bufs
@@ -300,14 +174,10 @@ def _drive(run, inc, params, I0, cap, eps_z):
 
 @pytest.mark.parametrize("cap", [1, 1023, 1024, 1025, 2500])
 @pytest.mark.parametrize("inc", KERNEL_MODELS, ids=_encoding_id)
-def test_impl_on_numpy_arrays_matches_python_twin(inc, cap, monkeypatch):
-    # the compiled path runs the generated stepper on numpy arrays with a
-    # flat stage buffer; here an identity njit runs that source uncompiled.
-    # The twin runs it on lists in blocks of BLOCK_ROWS rows.  The run
-    # converges at row 2300, inside the third block of a 2500-row chunk, so
-    # chunk and block edges both fall inside it
-    monkeypatch.setattr(kernels, "numba", types.SimpleNamespace(njit=lambda fn: fn))
-    monkeypatch.setattr(kernels, "_JITTED", {})
+def test_spliced_chunks_match_simulate(inc, cap):
+    # run_chunk steps in blocks of BLOCK_ROWS rows.  The run converges at
+    # row 2300, inside the third block of a 2500-row chunk, so chunk and
+    # block edges both fall inside it
     n = inc.n
     params = StageParams(gamma=np.linspace(0.05, 0.1, n), N=N)
     I0 = np.full(n, 0.02 / n)
@@ -315,12 +185,21 @@ def test_impl_on_numpy_arrays_matches_python_twin(inc, cap, monkeypatch):
     free = simulate(EpidemicState(S=N - I0.sum(), I=I0, R=0.0), params, inc,
                     StoppingRule(max_steps=steps, eps_z=0.0, eps_s=0.0))
     eps_z = float(np.nextafter(free.Z[-1], np.inf))
-    py_rows, py_end = _drive(kernels.run_chunk_py, inc, params, I0, cap, eps_z)
-    np_rows, np_end = _drive(kernels.run_chunk_jit, inc, params, I0, cap, eps_z)
-    assert len(py_rows[0]) == steps + 1
-    for got, want in zip(py_rows, np_rows):
+    rows, (S, R, phi, I) = _drive(inc, params, I0, cap, eps_z)
+    assert len(rows[0]) == steps + 1
+    for got, want in zip(rows, (free.S, free.I.reshape(-1), free.R, free.phi, free.Z)):
         np.testing.assert_array_equal(got, want)
-    assert py_end[:3] == np_end[:3]
-    np.testing.assert_array_equal(py_end[3], np_end[3])
-    for got, want in zip(py_rows, (free.S, free.I.reshape(-1), free.R, free.phi, free.Z)):
-        np.testing.assert_array_equal(got, want)
+    assert (S, R, phi) == (free.S[-1], free.R[-1], free.phi[-1])
+    np.testing.assert_array_equal(I, free.I[-1])
+
+
+def test_a_phi_of_one_ends_the_chunk_invalid():
+    # exponential incidence with beta = 60 rounds phi to 1.0 at step 2: the
+    # call records that row and stops there
+    inc = ExponentialIncidence([60.0], N)
+    bufs = (np.empty(8), np.empty(8), np.empty(8), np.empty(8), np.empty(8))
+    rows, status, S, R, phi = kernels.run_chunk(
+        0.99, np.array([0.01]), 0.0, -1.0, np.array([0.5]), *inc.kernel_spec(),
+        1e-12, 1e-14, *bufs)
+    assert (rows, status, phi) == (3, kernels.INVALID, 1.0)
+    assert bufs[3][2] == 1.0 and 0.0 <= bufs[3][1] < 1.0

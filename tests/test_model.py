@@ -424,14 +424,21 @@ def test_custom_phi_outside_range_stops_the_run_at_its_step():
     assert calls[0] == step_no + 1
 
 
-def test_custom_models_never_reach_the_compiled_kernel(monkeypatch, figures):
-    # numba cannot call a Python callable: a custom run steps on the twin
-    def refuse(*args):
-        raise AssertionError("a custom model reached run_chunk")
+def test_custom_models_step_through_run_chunk(monkeypatch, figures):
+    # a custom run's chunks pass through _kernels.run_chunk with a phi_fn,
+    # and together they record every row of its trajectory
+    real, chunks = kernels.run_chunk, []
+
+    def run_chunk(*args):
+        result = real(*args)
+        chunks.append((result[0], args[17]))
+        return result
 
     sc, inc = _fig2_left(figures, "custom")
     ref = simulate(sc.initial, sc.params, sc.incidence, sc.stopping)
-    monkeypatch.setattr(kernels, "run_chunk", refuse)
+    monkeypatch.setattr(kernels, "run_chunk", run_chunk)
     traj = simulate(sc.initial, sc.params, inc, sc.stopping)
     assert traj.stop_reason == ref.stop_reason == "converged"
     np.testing.assert_array_equal(traj.S, ref.S)
+    assert chunks and all(callable(phi_fn) for _, phi_fn in chunks)
+    assert sum(rows for rows, _ in chunks) == len(traj.S)

@@ -205,3 +205,66 @@ def test_stopping_round_trip_defaults(tmp_path, figures):
     assert back.stopping.eps_z is None
     assert back.stopping.eps_s is None
     assert back.stopping.max_steps == 10**6
+
+
+_FIG2_LEFT = """
+[params]
+gamma = 0.6, 0.7, 0.3
+N = 1.0
+[incidence]
+family = exponential
+beta = 0.2, 0.2, 0.1
+[initial]
+S = 0.99
+I = 0.01, 0.0, 0.0
+R = 0.0
+[stopping]
+"""
+
+
+def test_stopping_values_are_parsed_under_their_key(tmp_path):
+    for text, message in (("eps_z = abc", "stopping.eps_z: cannot parse number from 'abc'"),
+                          ("max_steps = 1e6",
+                           "stopping.max_steps: cannot parse integer from '1e6'")):
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(_write(tmp_path, _FIG2_LEFT + text))
+        assert str(err.value) == message
+    sc = load_scenario(_write(tmp_path, _FIG2_LEFT + "max_steps = 5\neps_s = 1e-3"))
+    assert sc.stopping == StoppingRule(max_steps=5, eps_z=None, eps_s=1e-3)
+
+
+def test_unknown_stopping_keys_are_rejected_by_name(tmp_path):
+    # misspelt keys used to be ignored, and the run went on the defaults
+    path = _write(tmp_path, _FIG2_LEFT + "eps-z = 1e-3\nmax_step = 5")
+    with pytest.raises(ScenarioError, match=r"^stopping: unknown key\(s\) eps-z, max_step;"):
+        load_scenario(path)
+
+
+def test_sweep_paths_name_numeric_entries(figures):
+    data = scenario_to_dict(figures["fig2-left"])
+    for path in ("scenario.label", "incidence.family"):
+        with pytest.raises(ScenarioError, match=f"{path} is not numeric"):
+            set_scenario_value(data, path, 1.0)
+    composed = scenario_to_dict(Scenario(
+        label="c", params=StageParams(gamma=[0.5], N=1.0),
+        incidence=poisson_incidence(2.0, LinearIncidence([0.1], 1.0)),
+        initial=EpidemicState(S=0.99, I=[0.01], R=0.0), stopping=StoppingRule()))
+    with pytest.raises(ScenarioError, match="incidence.pi_family is not numeric"):
+        set_scenario_value(composed, "incidence.pi_family", 1.0)
+
+
+def test_sweep_writes_integer_entries_as_integers(figures):
+    data = scenario_to_dict(figures["fig2-left"])
+    set_scenario_value(data, "stopping.max_steps", 100.0)
+    assert data["stopping"]["max_steps"] == "100"
+    assert scenario_from_dict(data).stopping.max_steps == 100
+    with pytest.raises(ScenarioError, match="max_steps takes integers, got 100.5"):
+        set_scenario_value(data, "stopping.max_steps", 100.5)
+    last = scenario_to_dict(Scenario(
+        label="l", params=StageParams(gamma=[0.5, 0.5], N=1.0),
+        incidence=LastClassIncidence(n=2, N=1.0, kind="linear", beta=0.5),
+        initial=EpidemicState(S=0.99, I=[0.0, 0.01], R=0.0), stopping=StoppingRule()))
+    set_scenario_value(last, "incidence.n", 2.0)
+    assert last["incidence"]["n"] == "2"
+    with pytest.raises(ScenarioError, match="n takes integers"):
+        set_scenario_value(last, "incidence.n", float("nan"))

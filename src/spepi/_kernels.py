@@ -13,12 +13,10 @@ upwards from 0.0.  Each built-in phi is written once, as its template in
 ``_INNER`` or ``_OUTER``; ``inner_phi`` and ``outer_phi`` evaluate
 functions generated from them for the model objects.
 
-``run_chunk`` steps every run, on Python lists (indexing numpy arrays
-from Python boxes a scalar per element), in blocks of at most
-``BLOCK_ROWS`` rows on reused list buffers copied into the caller's
-arrays (chunk-long lists raised a deep run's peak memory by several MB).
-A model without an encoding passes ``phi_fn``, called in place of the
-template.
+``run_chunk`` steps every run: it looks up the stepper for its key and
+calls it on the caller's Python lists (indexing numpy arrays from Python
+boxes a scalar per element).  A model without an encoding passes
+``phi_fn``, called in place of the template.
 
   inner kind ``ik``:  0 linear  phi = v1 . I
                       1 exponential  phi = -expm1(-(v1 . I))
@@ -40,7 +38,6 @@ CONVERGED = 1
 FULL = 0
 INVALID = 2
 
-BLOCK_ROWS = 1024
 # Unrolled, a step ran 1.3-1.7x faster than the loop form at every n tried
 # (8..2048), and a table sum about 1.5x up to K = 64 (none at 128).  The limit
 # on n is CPython's: 3.11 stops compiling the unrolled sums ("maximum recursion
@@ -164,41 +161,19 @@ def run_chunk(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
               S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
     """Advance the map from (S, I, R), recording one row per state.
 
-    Row k holds S, R, phi and ||I||_1 (summed in the stop rule's order) at
-    ``S_out[k]`` etc., and stage j at ``I_out[k * n + j]`` (or ``[k, j]``).
-    phi < 0: the entry state is unrecorded and is recorded first; else
-    it was recorded with incidence phi and is stepped past.  A row's
-    phi is phi_fn(I) when given, else the encoding's; I is updated in
-    place.  Returns (rows, status, S, R, phi_last), status CONVERGED
-    (||I|| < eps_z and the S decrement < eps_s), INVALID (the last row's
-    phi lies outside [0, 1)) or FULL (buffer exhausted; call again).
+    Every vector argument is a Python list.  Row k holds S, R, phi and
+    ||I||_1 (summed in the stop rule's order) at ``S_out[k]`` etc., and
+    stage j at ``I_out[k * n + j]``.  phi < 0: the entry state is
+    unrecorded and is recorded first; else it was recorded with
+    incidence phi and is stepped past.  A row's phi is phi_fn(I) when
+    given, else the encoding's; I is updated in place.  Returns (rows,
+    status, S, R, phi_last), status CONVERGED (||I|| < eps_z and the S
+    decrement < eps_s), INVALID (the last row's phi lies outside [0, 1))
+    or FULL (``len(S_out)`` rows recorded; call again).
     """
-    n = len(I)
-    cap = len(S_out)
-    step = _generated(_key(n, ik, ok, len(op), phi_fn))
-    I_cur = I.tolist()
-    gamma, v1, v2, op = gamma.tolist(), v1.tolist(), v2.tolist(), op.tolist()
-    I_flat = I_out.reshape(-1)
-    bufs = None
-    done = 0
-    status = FULL
-    while status == FULL and done < cap:
-        rows_max = min(BLOCK_ROWS, cap - done)
-        if bufs is None or len(bufs[0]) != rows_max:
-            bufs = ([0.0] * rows_max, [0.0] * (rows_max * n), [0.0] * rows_max,
-                    [0.0] * rows_max, [0.0] * rows_max)
-        S_b, I_b, R_b, phi_b, Z_b = bufs
-        rows, status, S, R, phi = step(S, I_cur, R, phi, gamma, v1, v2, op, eps_z, eps_s,
-                                       S_b, I_b, R_b, phi_b, Z_b, phi_fn)
-        end = done + rows
-        S_out[done:end] = S_b[:rows]
-        I_flat[done * n:end * n] = I_b[:rows * n]
-        R_out[done:end] = R_b[:rows]
-        phi_out[done:end] = phi_b[:rows]
-        Z_out[done:end] = Z_b[:rows]
-        done = end
-    I[:] = I_cur
-    return done, status, S, R, phi
+    step = _generated(_key(len(I), ik, ok, len(op), phi_fn))
+    return step(S, I, R, phi, gamma, v1, v2, op, eps_z, eps_s,
+                S_out, I_out, R_out, phi_out, Z_out, phi_fn)
 
 
 # perfbench/worker.py reads this for the run's environment record; there is

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .incidence import ExponentialIncidence, IncidenceModel
+from .incidence import IncidenceModel
 from .model import EpidemicState, StageParams, StoppingRule, Trajectory, simulate
 from .spectral import _bisect, build_B, delta, perron, r0
 
@@ -98,9 +98,11 @@ def final_size_bounds(
 def final_size_equation_solve(
     initial: EpidemicState, params: StageParams, incidence: IncidenceModel
 ) -> FinalSizeResult:
-    """Root of the exponential-incidence final-size equation.
+    """Root of the final-size equation, exact where -log(1 - phi(I)) = r . I.
 
-    g(x) = log(S(0)) - log(x) - sum_j (b_j/g_j)(S(0) + cumsum(I(0))_j) + R0 x / N
+    That holds for the encodings (``ik``, ``ok``) = (1, 0), exponential
+    incidence (last-class too), and (0, 2), linear under Poisson contacts.
+    g(x) = log(S(0)) - log(x) - sum_j (r_j/g_j)(S(0) + cumsum(I(0))_j) + R0 x / N
     is decreasing on (0, N/R0) and increasing beyond, with its unique
     root in (0, min(S(0), N/R0)); ``spectral._bisect`` closes that bracket
     from the least positive double to adjacent doubles, so the root keeps
@@ -108,23 +110,22 @@ def final_size_equation_solve(
     positive double comes back as a subnormal of a few ulps.
 
     Raises:
-        TypeError: for non-exponential incidence (the equation is specific
-            to that family).
+        TypeError: for any other incidence (the equation does not hold).
         ValueError: if the bracket carries no sign change, which signals a
             violated initial condition (S(0) > 0, I(0) != 0).
     """
-    if not isinstance(incidence, ExponentialIncidence):
-        raise TypeError(
-            "the final-size equation holds for the exponential incidence family only"
-        )
+    spec = incidence.kernel_spec()
+    if spec is None or (spec[0], spec[3]) not in ((1, 0), (0, 2)):
+        raise TypeError("the final-size equation holds for exponential incidence "
+                        "and linear incidence under Poisson contacts only")
     initial.validate_against(params)
     if not initial.satisfies_initial_condition():
         raise ValueError("initial state must have S(0) > 0 and I(0) != 0")
     S0 = initial.S
     N = params.N
-    beta, gamma = incidence.beta, params.gamma
+    r, gamma = incidence.r, params.gamma
     R0 = r0(params, incidence)
-    C = float(((beta / gamma) * (S0 + np.cumsum(initial.I))).sum())
+    C = float(((r / gamma) * (S0 + np.cumsum(initial.I))).sum())
     log_S0 = math.log(S0)
 
     def g(x: float) -> float:

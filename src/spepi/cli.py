@@ -28,6 +28,8 @@ from .scenario import (
     FIGURE_SCENARIO_NAMES,
     Scenario,
     ScenarioError,
+    _parse_float,
+    _parse_int,
     figure_scenario,
     figure_scenarios,
     load_scenario,
@@ -199,11 +201,12 @@ def _parse_grid(text: str) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ScenarioError(f"grid {text!r}: expected lo:hi:count")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi = (_parse_float(part, "--grid") for part in parts[:2])
+        count = _parse_int(parts[2], "--grid")
         if count < 1:
             raise ScenarioError("grid count must be at least 1")
         return [float(v) for v in np.linspace(lo, hi, count)]
-    values = [float(tok) for tok in text.replace(",", " ").split()]
+    values = [_parse_float(tok, "--grid") for tok in text.replace(",", " ").split()]
     if not values:
         raise ScenarioError("empty sweep grid")
     return values

@@ -13,12 +13,13 @@ S + I1 + ... + In + R is conserved.
 
 ``simulate`` iterates the map to a stopping rule, recording the full
 trajectory; ``step`` is a one-step ``simulate``, so repeated steps
-reproduce it bit for bit.  Every run steps through
-``_kernels.run_chunk``, on the stepper generated for its encoding; a
-custom callable's stepper calls ``phi_fn``.  Each chunk is checked:
-:class:`DynamicsError` names the first step whose phi lies outside
-[0, 1), whose compartments are not finite and nonnegative, or whose
-S + Z + R drifts from N by more than ``CONSERVATION_TOL_REL * N``.
+reproduce it bit for bit.  Every run steps through ``_kernels.run_chunk``
+(a custom callable's stepper calls ``phi_fn``) in blocks of at most
+``BLOCK_ROWS`` rows on Python lists.  Each block becomes numpy arrays
+and is checked: :class:`DynamicsError` names the first step whose phi
+lies outside [0, 1), whose compartments are not finite and nonnegative,
+or whose S + Z + R drifts from N by more than ``CONSERVATION_TOL_REL * N``.
+The blocks are joined once, at the end.
 """
 
 from __future__ import annotations
@@ -248,41 +249,32 @@ def _check_rows(S, I, R, phi, Z, N, first_step) -> None:
     raise DynamicsError(first_step + k, cause)
 
 
-_FIRST_CHUNK_ROWS = 4096
+# rows per call of the stepper: its list buffers are reused from block to
+# block, and each block's rows become numpy arrays of exactly their size
+BLOCK_ROWS = 1024
 
 
 def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s, phi_fn=None):
-    max_rows = max_steps + 1
-    S_cur = initial.S
-    I_cur = initial.I.copy()
-    R_cur = initial.R
-    n = I_cur.shape[0]
-    phi_entry = -1.0  # entry state not yet recorded
-    chunks = []
-    rows_total = 0
-    cap = min(_FIRST_CHUNK_ROWS, max_rows)
+    ik, v1, v2, ok, op = spec
+    fixed = (gamma.tolist(), ik, v1.tolist(), v2.tolist(), ok, op.tolist(), eps_z, eps_s)
+    S, I, R = initial.S, initial.I.tolist(), initial.R
+    widths = (1, len(I), 1, 1, 1)  # of a row in each buffer: S, I, R, phi, Z
+    phi = -1.0  # entry state not yet recorded
+    blocks = []
+    done = 0
+    bufs = None
     status = _kernels.FULL
-    while True:
-        S_buf = np.empty(cap)
-        I_buf = np.empty(cap * n)
-        R_buf = np.empty(cap)
-        phi_buf = np.empty(cap)
-        Z_buf = np.empty(cap)
-        rows, status, S_cur, R_cur, phi_entry = _kernels.run_chunk(
-            S_cur, I_cur, R_cur, phi_entry, gamma, *spec, eps_z, eps_s,
-            S_buf, I_buf, R_buf, phi_buf, Z_buf, phi_fn,
-        )
-        chunk = (S_buf[:rows], I_buf[:rows * n].reshape(rows, n), R_buf[:rows],
-                 phi_buf[:rows], Z_buf[:rows])
-        _check_rows(*chunk, N, rows_total)  # raises on an INVALID chunk's last row
-        chunks.append(chunk)
-        rows_total += rows
-        if status == _kernels.CONVERGED or rows_total >= max_rows:
-            break
-        cap = min(2 * cap, max_rows - rows_total)
-    # compact copies even of a single chunk: views would keep the whole
-    # buffer (4096 rows and more) alive for as long as the trajectory
-    concat = [np.concatenate([c[k] for c in chunks]) for k in range(5)]
+    while status == _kernels.FULL and done <= max_steps:
+        size = min(BLOCK_ROWS, max_steps + 1 - done)
+        if bufs is None or len(bufs[0]) != size:
+            bufs = [[0.0] * (size * width) for width in widths]
+        rows, status, S, R, phi = _kernels.run_chunk(S, I, R, phi, *fixed, *bufs, phi_fn)
+        block = [np.fromiter(buf, float, rows * width) for buf, width in zip(bufs, widths)]
+        block[1] = block[1].reshape(rows, widths[1])
+        _check_rows(*block, N, done)  # raises on an INVALID block's last row
+        blocks.append(block)
+        done += rows
+    concat = [np.concatenate(column) for column in zip(*blocks)]
     reason = "converged" if status == _kernels.CONVERGED else "max-steps"
     return (*concat, reason)
 

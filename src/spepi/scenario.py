@@ -121,10 +121,30 @@ def _parse_int(text: str, path: str) -> int:
         raise ScenarioError(f"{path}: cannot parse integer from {text!r}") from exc
 
 
+def _parse_text(text: str, path: str) -> str:
+    return text.strip()
+
+
 def _get(section: dict, key: str, where: str) -> str:
     if key not in section:
         raise ScenarioError(f"{where}.{key}: required key is missing")
     return section[key]
+
+
+def _check_known(names, known, what: str) -> None:
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise ScenarioError(f"{what} {', '.join(unknown)}; known: {', '.join(known)}")
+
+
+def _parse_section(data: dict, section: str, keys=None) -> dict:
+    """``data[section]`` parsed by its (key, parser) pairs, by default those
+    in ``_SECTIONS``; an unknown key raises, as does a missing one unless
+    the section is optional ([scenario] and [stopping])."""
+    items, keys = data.get(section, {}), keys or _SECTIONS[section]
+    _check_known(items, [key for key, _ in keys], f"{section}: unknown key(s)")
+    return {key: parse(_get(items, key, section), f"{section}.{key}") for key, parse in keys
+            if key in items or section not in ("scenario", "stopping")}
 
 
 # The plain INI families: name -> (constructor taking N and the keys by
@@ -140,78 +160,70 @@ _FAMILIES = {
     "last-class-linear": (partial(LastClassIncidence, kind="linear"), _LAST_CLASS_KEYS),
     "last-class-exponential": (partial(LastClassIncidence, kind="exponential"), _LAST_CLASS_KEYS),
 }
+# The contact laws: family -> the (key, parser) pair of the law's parameter;
+# the inner family's keys take the prefix pi_
+_LAWS = {"contact-composed": ("contact_p", _parse_floats), "poisson-composed": ("lambda", _parse_float)}
+# Each section's (key, parser) pairs; [incidence]'s follow its family
+_SECTIONS = {
+    "scenario": (("label", _parse_text),),
+    "params": (("gamma", _parse_floats), ("N", _parse_float)),
+    "incidence": None,
+    "initial": (("S", _parse_float), ("I", _parse_floats), ("R", _parse_float)),
+    "stopping": (("max_steps", _parse_int), ("eps_z", _parse_float), ("eps_s", _parse_float)),
+}
 
 
-def _build_plain_incidence(family: str, spec: dict, N: float,
-                           prefix: str = "") -> IncidenceModel:
-    if family not in _FAMILIES:
-        raise ScenarioError(f"incidence.{prefix}family: unknown incidence family {family!r}")
-    build, keys = _FAMILIES[family]
-    values = {
-        key: parse(_get(spec, prefix + key, "incidence"), f"incidence.{prefix}{key}")
-        for key, parse in keys
-    }
-    return build(N=N, **values)
+def _incidence_keys(spec: dict) -> tuple:
+    """[incidence]'s (key, parser) pairs for the family that ``spec`` names."""
+    law = _LAWS.get(_get(spec, "family", "incidence").strip())
+    prefix = "pi_" if law else ""
+    plain = _get(spec, prefix + "family", "incidence").strip()
+    if plain not in _FAMILIES:
+        raise ScenarioError(f"incidence.{prefix}family: unknown incidence family {plain!r}")
+    head = (("family", _parse_text),) + ((("pi_family", _parse_text), law) if law else ())
+    return head + tuple((prefix + key, parse) for key, parse in _FAMILIES[plain][1])
 
 
-def _build_incidence(spec: dict, N: float) -> IncidenceModel:
-    family = _get(spec, "family", "incidence").strip()
-    if family not in ("contact-composed", "poisson-composed"):
-        return _build_plain_incidence(family, spec, N)
-    pi_family = _get(spec, "pi_family", "incidence").strip()
-    pi = _build_plain_incidence(pi_family, spec, N, prefix="pi_")
+def _build_incidence(data: dict, N: float) -> IncidenceModel:
+    values = _parse_section(data, "incidence", _incidence_keys(data["incidence"]))
+    family = values["family"]
+    prefix = "pi_" if family in _LAWS else ""
+    build, keys = _FAMILIES[values[prefix + "family"]]
+    pi = build(N=N, **{key: values[prefix + key] for key, _ in keys})
     if family == "contact-composed":
-        dist = ContactDistribution.explicit(
-            _parse_floats(_get(spec, "contact_p", "incidence"), "incidence.contact_p")
-        )
-        return compose_incidence(pi, dist)
-    lam = _parse_float(_get(spec, "lambda", "incidence"), "incidence.lambda")
-    return poisson_incidence(lam, pi)
+        return compose_incidence(pi, ContactDistribution.explicit(values["contact_p"]))
+    if family == "poisson-composed":
+        return poisson_incidence(values["lambda"], pi)
+    return pi
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario from nested section dicts of strings."""
+    _check_known(data, list(_SECTIONS), "unknown section(s)")
     for section in ("params", "incidence", "initial"):
         if section not in data:
             raise ScenarioError(f"{section}: required section is missing")
-    label = data.get("scenario", {}).get("label", "")
+    label = _parse_section(data, "scenario").get("label", "")
 
     # a ValueError from a constructor becomes a ScenarioError naming the
     # section being built; one try costs nothing until it catches
     where = "params"
     try:
-        p = data["params"]
-        params = StageParams(
-            gamma=np.array(_parse_floats(_get(p, "gamma", "params"), "params.gamma")),
-            N=_parse_float(_get(p, "N", "params"), "params.N"),
-        )
+        params = StageParams(**_parse_section(data, "params"))
 
         where = "incidence"
-        incidence = _build_incidence(dict(data["incidence"]), params.N)
+        incidence = _build_incidence(data, params.N)
         if incidence.n != params.n:
             raise ScenarioError(
                 f"incidence: built for {incidence.n} stages but params.gamma has {params.n}"
             )
 
         where = "initial"
-        ini = data["initial"]
-        initial = EpidemicState(
-            S=_parse_float(_get(ini, "S", "initial"), "initial.S"),
-            I=np.array(_parse_floats(_get(ini, "I", "initial"), "initial.I")),
-            R=_parse_float(_get(ini, "R", "initial"), "initial.R"),
-        )
+        initial = EpidemicState(**_parse_section(data, "initial"))
         initial.validate_against(params)
 
         where = "stopping"
-        stop = data.get("stopping", {})
-        keys = (("max_steps", _parse_int), ("eps_z", _parse_float), ("eps_s", _parse_float))
-        known = [key for key, _ in keys]
-        unknown = sorted(set(stop) - set(known))
-        if unknown:
-            raise ScenarioError(f"stopping: unknown key(s) {', '.join(unknown)}; "
-                                f"known: {', '.join(known)}")
-        stopping = StoppingRule(**{key: parse(stop[key], f"stopping.{key}")
-                                   for key, parse in keys if key in stop})
+        stopping = StoppingRule(**_parse_section(data, "stopping"))
         stopping.resolve(params.N)
     except ValueError as exc:
         if isinstance(exc, ScenarioError):
@@ -314,9 +326,12 @@ def set_scenario_value(data: dict, path: str, value: float) -> None:
         raise ScenarioError(f"sweep path {path!r}: {exc}") from exc
     if section_key not in data or key not in data[section_key]:
         raise ScenarioError(f"sweep path {path!r}: no such scenario entry")
-    if section_key == "scenario" or key in ("family", "pi_family"):
+    keys = (_incidence_keys(data[section_key]) if section_key == "incidence"
+            else _SECTIONS.get(section_key) or ())
+    parse = dict(keys).get(key, _parse_text)
+    if parse is _parse_text:
         raise ScenarioError(f"sweep path {path!r}: {section_key}.{key} is not numeric")
-    if index is None and key in ("max_steps", "n", "pi_n"):  # parsed by _parse_int
+    if index is None and parse is _parse_int:
         if not float(value).is_integer():
             raise ScenarioError(f"sweep path {path!r}: {key} takes integers, got {value!r}")
         data[section_key][key] = str(int(value))

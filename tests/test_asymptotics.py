@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from spepi import (
+    ContactDistribution,
+    CustomIncidence,
     EpidemicState,
     ExponentialIncidence,
+    LastClassIncidence,
     LinearIncidence,
+    SplitExponentialIncidence,
     StageParams,
     StoppingRule,
+    compose_incidence,
     final_size_bounds,
     final_size_equation_solve,
     final_size_simulate,
     limit_direction,
     monotonicity_onset,
+    poisson_incidence,
     r0,
     simulate,
     tail_sum_check,
@@ -87,6 +94,16 @@ def test_final_size_equation_guards():
         final_size_equation_solve(
             EpidemicState(S=0.9, I=[0.1], R=0.0), params, LinearIncidence([0.5], N=N)
         )
+    # every other family the equation does not hold for
+    two = StageParams(gamma=[0.5, 0.4], N=N)
+    for inc in (LastClassIncidence(n=2, N=N, kind="linear", beta=0.5),
+                SplitExponentialIncidence([0.5, 0.5], [0.3, 0.2], N=N),
+                poisson_incidence(2.0, ExponentialIncidence([0.3, 0.2], N=N)),
+                compose_incidence(LinearIncidence([0.3, 0.2], N=N),
+                                  ContactDistribution.explicit([0.5, 0.5])),
+                CustomIncidence(lambda I: -math.expm1(-0.3 * I[0] - 0.2 * I[1]), n=2, N=N)):
+        with pytest.raises(TypeError):
+            final_size_equation_solve(EpidemicState(S=0.9, I=[0.06, 0.04], R=0.0), two, inc)
     with pytest.raises(ValueError):
         final_size_equation_solve(
             EpidemicState(S=1.0, I=[0.0], R=0.0), params, ExponentialIncidence([1.0], N=N)
@@ -100,7 +117,7 @@ def _mp_final_size_root(initial, params, inc):
     mpmath = pytest.importorskip("mpmath")
     S0, N = initial.S, params.N
     R0 = r0(params, inc)
-    C = float(((inc.beta / params.gamma) * (S0 + np.cumsum(initial.I))).sum())
+    C = float(((inc.r / params.gamma) * (S0 + np.cumsum(initial.I))).sum())
     with mpmath.workdps(60):
         y = mpmath.findroot(
             lambda y: mpmath.log(S0) - y - C + R0 * mpmath.exp(y) / N,
@@ -115,11 +132,24 @@ _FINAL_SIZE_MODELS = {
 }
 
 
-def _final_size_case(model, R0):
+# the families whose final-size equation is exact, -log(1 - phi(I)) = r . I,
+# built from an r with N sum_j r_j / g_j = R0
+_FINAL_SIZE_FAMILIES = {
+    "exponential": lambda r: ExponentialIncidence(r, N=1.0),
+    "last-class-exponential": lambda r: LastClassIncidence(
+        n=r.size, N=1.0, kind="exponential", beta=float(r[-1])),
+    "poisson-linear": lambda r: poisson_incidence(
+        2.0 * float(r.sum()), LinearIncidence(r / (2.0 * float(r.sum())), N=1.0)),
+}
+
+
+def _final_size_case(model, R0, family="exponential"):
     gamma, shape, S0, I = _FINAL_SIZE_MODELS[model]
     gamma, shape, I = np.array(gamma), np.array(shape), np.array(I)
+    if family.startswith("last-class"):
+        shape = (np.arange(gamma.size) == gamma.size - 1) * 1.0
     params = StageParams(gamma=gamma, N=1.0)
-    inc = ExponentialIncidence(shape * (R0 / float((shape / gamma).sum())), N=1.0)
+    inc = _FINAL_SIZE_FAMILIES[family](shape * (R0 / float((shape / gamma).sum())))
     return EpidemicState(S=S0, I=I, R=1.0 - S0 - I.sum()), params, inc
 
 
@@ -127,12 +157,13 @@ def _final_size_case(model, R0):
 def test_final_size_root_to_full_relative_precision(model):
     # evaluating g in double precision leaves a relative error of about
     # 2 C 2^-53, where C grows like R0: near 2.5e-14 at R0 = 200
-    for R0 in np.geomspace(0.3, 200.0, 40):
-        initial, params, inc = _final_size_case(model, float(R0))
+    for family, R0 in itertools.product(_FINAL_SIZE_FAMILIES, np.geomspace(0.3, 200.0, 40)):
+        initial, params, inc = _final_size_case(model, float(R0), family)
+        assert r0(params, inc) == pytest.approx(float(R0), rel=1e-14)
         res = final_size_equation_solve(initial, params, inc)
         ref = _mp_final_size_root(initial, params, inc)
         rel = float(abs(res.s_inf - ref) / ref)
-        assert rel <= (1e-14 if R0 <= 20.0 else 1e-13), (R0, res.s_inf, ref)
+        assert rel <= (1e-14 if R0 <= 20.0 else 1e-13), (family, R0, res.s_inf, ref)
         assert res.iterations <= 70  # arithmetic halving alone needs about 1075
 
 
@@ -140,11 +171,23 @@ def test_final_size_root_to_full_relative_precision(model):
 @pytest.mark.parametrize("R0", [1e3, 1e4])
 def test_final_size_root_below_the_least_double(model, R0):
     # the true root is near e^-R0; log(S0 / x) would overflow to inf here
-    initial, params, inc = _final_size_case(model, R0)
-    res = final_size_equation_solve(initial, params, inc)
-    assert not math.isnan(res.s_inf)
-    assert 0.0 < res.s_inf <= 1e-320
-    assert res.iterations <= 70
+    for family in _FINAL_SIZE_FAMILIES:
+        initial, params, inc = _final_size_case(model, R0, family)
+        res = final_size_equation_solve(initial, params, inc)
+        assert not math.isnan(res.s_inf)
+        assert 0.0 < res.s_inf <= 1e-320
+        assert res.iterations <= 70
+
+
+@pytest.mark.parametrize("family", sorted(_FINAL_SIZE_FAMILIES))
+@pytest.mark.parametrize("model", sorted(_FINAL_SIZE_MODELS))
+def test_final_size_root_matches_simulation_for_each_covered_family(model, family):
+    for R0 in (0.5, 1.5, 4.0, 20.0):
+        initial, params, inc = _final_size_case(model, R0, family)
+        eq = final_size_equation_solve(initial, params, inc)
+        sim = final_size_simulate(initial, params, inc,
+                                  StoppingRule(eps_z=1e-300, eps_s=1e-300))
+        assert abs(eq.s_inf - sim.s_inf) <= 1e-14 * params.N, (R0, eq.s_inf, sim.s_inf)
 
 
 def test_final_size_simulate_zero_seed_and_linear_strict_bound():

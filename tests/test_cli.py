@@ -162,7 +162,8 @@ R = 0.0
     assert int(rep["threshold_decay_from"]) > 0
     assert rep["threshold_decay_verified"] == "True"
     assert rep["rise_predicted"].startswith("n/a")
-    assert rep["S_inf_equation"].startswith("n/a")
+    assert float(rep["S_inf_equation"]) == pytest.approx(float(rep["S_inf_simulated"]),
+                                                         abs=1e-8)
 
 
 def test_analyze_no_infected_names_the_initial_condition(tmp_path, capsys):
@@ -283,6 +284,18 @@ def test_sweep_rejects_bad_grid_and_path(tmp_path, capsys):
     assert main(["sweep", "--scenario", "fig2-left", "--out", str(out),
                  "--param", "stopping.max_steps", "--grid", "100,200.5"]) == 1
     assert "max_steps takes integers, got 200.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("1,abc", "--grid: cannot parse number from 'abc'"),
+    ("1:abc:3", "--grid: cannot parse number from 'abc'"),
+    ("1:2:3.5", "--grid: cannot parse integer from '3.5'"),
+])
+def test_sweep_grid_errors_name_the_grid_and_token(tmp_path, capsys, grid, message):
+    assert main(["sweep", "--scenario", "fig2-left", "--out", str(tmp_path / "x.csv"),
+                 "--param", "incidence.beta[2]", "--grid", grid]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_over_max_steps(tmp_path):

@@ -125,6 +125,17 @@ def test_last_class_scalar_phi_is_phi_on_the_last_stage(kind):
             assert math.isfinite(got)
 
 
+def _spec_lists(inc, gamma):
+    # run_chunk's arguments gamma, ik, v1, v2, ok and op, vectors as lists
+    ik, v1, v2, ok, op = inc.kernel_spec()
+    return np.asarray(gamma, dtype=float).tolist(), ik, v1.tolist(), v2.tolist(), ok, op.tolist()
+
+
+def _buffers(cap, n):
+    # run_chunk's output lists for cap rows: S, flat I, R, phi and Z
+    return [0.0] * cap, [0.0] * (cap * n), [0.0] * cap, [0.0] * cap, [0.0] * cap
+
+
 @pytest.mark.parametrize("cap", [1, 3])
 @pytest.mark.parametrize("inc", KERNEL_MODELS, ids=_encoding_id)
 def test_chunk_resume_restarts_cleanly(inc, cap):
@@ -134,22 +145,21 @@ def test_chunk_resume_restarts_cleanly(inc, cap):
     n = inc.n
     params = StageParams(gamma=np.linspace(0.5, 0.7, n), N=N)
     I0 = np.full(n, 0.02 / n)
-    S, I, R = N - I0.sum(), I0.copy(), 0.0
+    S, I, R = N - I0.sum(), I0.tolist(), 0.0
     phi_entry = -1.0
     chunks = []
     for _ in range(12 // cap):
-        bufs = (np.empty(cap), np.empty((cap, n)), np.empty(cap), np.empty(cap),
-                np.empty(cap))
+        bufs = _buffers(cap, n)
         rows, status, S, R, phi_entry = kernels.run_chunk(
-            S, I, R, phi_entry, params.gamma, *inc.kernel_spec(), 1e-12, 1e-14, *bufs
+            S, I, R, phi_entry, *_spec_lists(inc, params.gamma), 1e-12, 1e-14, *bufs
         )
         assert rows == cap and status == kernels.FULL
-        chunks.append([b.copy() for b in bufs])
+        chunks.append(bufs)
     glued = [np.concatenate(c) for c in zip(*chunks)]
     ref = simulate(EpidemicState(S=N - I0.sum(), I=I0, R=0.0), params, inc,
                    StoppingRule(max_steps=11))
     assert ref.n_steps == 11
-    for got, want in zip(glued, (ref.S, ref.I, ref.R, ref.phi, ref.Z)):
+    for got, want in zip(glued, (ref.S, ref.I.reshape(-1), ref.R, ref.phi, ref.Z)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -157,13 +167,12 @@ def _drive(inc, params, I0, cap, eps_z):
     # call run_chunk with fresh cap-row buffers until it converges; returns
     # the spliced rows and the state the last call handed back
     n = inc.n
-    S, I, R, phi = params.N - I0.sum(), I0.copy(), 0.0, -1.0
+    S, I, R, phi = params.N - I0.sum(), I0.tolist(), 0.0, -1.0
     chunks = []
     while True:
-        bufs = (np.empty(cap), np.empty(cap * n), np.empty(cap), np.empty(cap),
-                np.empty(cap))
+        bufs = _buffers(cap, n)
         rows, status, S, R, phi = kernels.run_chunk(
-            S, I, R, phi, params.gamma, *inc.kernel_spec(), eps_z, 1.0, *bufs
+            S, I, R, phi, *_spec_lists(inc, params.gamma), eps_z, 1.0, *bufs
         )
         S_b, I_b, R_b, phi_b, Z_b = bufs
         chunks.append((S_b[:rows], I_b[:rows * n], R_b[:rows], phi_b[:rows], Z_b[:rows]))
@@ -175,9 +184,8 @@ def _drive(inc, params, I0, cap, eps_z):
 @pytest.mark.parametrize("cap", [1, 1023, 1024, 1025, 2500])
 @pytest.mark.parametrize("inc", KERNEL_MODELS, ids=_encoding_id)
 def test_spliced_chunks_match_simulate(inc, cap):
-    # run_chunk steps in blocks of BLOCK_ROWS rows.  The run converges at
-    # row 2300, inside the third block of a 2500-row chunk, so chunk and
-    # block edges both fall inside it
+    # the run converges at row 2300: inside the first call of 2500 rows,
+    # and after many calls of the smaller sizes
     n = inc.n
     params = StageParams(gamma=np.linspace(0.05, 0.1, n), N=N)
     I0 = np.full(n, 0.02 / n)
@@ -197,9 +205,8 @@ def test_a_phi_of_one_ends_the_chunk_invalid():
     # exponential incidence with beta = 60 rounds phi to 1.0 at step 2: the
     # call records that row and stops there
     inc = ExponentialIncidence([60.0], N)
-    bufs = (np.empty(8), np.empty(8), np.empty(8), np.empty(8), np.empty(8))
+    bufs = _buffers(8, 1)
     rows, status, S, R, phi = kernels.run_chunk(
-        0.99, np.array([0.01]), 0.0, -1.0, np.array([0.5]), *inc.kernel_spec(),
-        1e-12, 1e-14, *bufs)
+        0.99, [0.01], 0.0, -1.0, *_spec_lists(inc, [0.5]), 1e-12, 1e-14, *bufs)
     assert (rows, status, phi) == (3, kernels.INVALID, 1.0)
     assert bufs[3][2] == 1.0 and 0.0 <= bufs[3][1] < 1.0

@@ -204,13 +204,38 @@ def test_simulate_incompatible_inputs():
 def test_multi_chunk_growth_matches_single_chunk(monkeypatch, figures):
     sc = figures["fig2-left"]
     ref = simulate(sc.initial, sc.params, sc.incidence, sc.stopping)
-    monkeypatch.setattr(model_mod, "_FIRST_CHUNK_ROWS", 7)
+    monkeypatch.setattr(model_mod, "BLOCK_ROWS", 7)
     chunked = simulate(sc.initial, sc.params, sc.incidence, sc.stopping)
     assert chunked.stop_reason == ref.stop_reason
     np.testing.assert_array_equal(chunked.S, ref.S)
     np.testing.assert_array_equal(chunked.I, ref.I)
     np.testing.assert_array_equal(chunked.R, ref.R)
     np.testing.assert_array_equal(chunked.phi, ref.phi)
+
+
+@pytest.mark.parametrize("path", ["kernel", "custom"])
+@pytest.mark.parametrize("edge", ["max-steps-one-block", "max-steps-two-blocks",
+                                  "converged-on-a-block-end"])
+def test_block_edges_match_small_blocks(monkeypatch, figures, path, edge):
+    # a run whose last row is a block's last row: the stop reason and every
+    # row must be those of the same run stepped in blocks of 7 rows
+    sc, inc = _fig2_left(figures, path)
+    B = model_mod.BLOCK_ROWS
+    if edge == "converged-on-a-block-end":
+        free = simulate(sc.initial, sc.params, inc,
+                        StoppingRule(max_steps=3 * B, eps_z=0.0, eps_s=0.0))
+        rule = StoppingRule(max_steps=3 * B, eps_z=float(np.nextafter(free.Z[2 * B - 1], 1.0)),
+                            eps_s=1.0)
+        rows, reason = 2 * B, "converged"
+    else:
+        rows = B if edge == "max-steps-one-block" else 2 * B
+        rule, reason = StoppingRule(max_steps=rows - 1, eps_z=0.0, eps_s=0.0), "max-steps"
+    traj = simulate(sc.initial, sc.params, inc, rule)
+    monkeypatch.setattr(model_mod, "BLOCK_ROWS", 7)
+    small = simulate(sc.initial, sc.params, inc, rule)
+    assert (traj.stop_reason, len(traj.S)) == (small.stop_reason, len(small.S)) == (reason, rows)
+    for name in ("S", "I", "R", "phi", "Z"):
+        assert getattr(traj, name).tobytes() == getattr(small, name).tobytes(), name
 
 
 def test_generic_python_path_matches_kernel(figures):
@@ -325,13 +350,13 @@ def test_generic_path_rejects_invalid_phi(func, message):
         inc.phi([0.5, 0.5])
 
 
-@pytest.mark.parametrize("first_chunk_rows", [4096, 1, 2])
+@pytest.mark.parametrize("block_rows", [4096, 1, 2])
 @pytest.mark.parametrize("S0, beta, step_no", [(0.2, 50.0, 0), (0.99, 60.0, 2)])
-def test_kernel_path_rejects_phi_one(monkeypatch, first_chunk_rows, S0, beta, step_no):
+def test_kernel_path_rejects_phi_one(monkeypatch, block_rows, S0, beta, step_no):
     # -expm1(-x) rounds to 1.0 for x above about 37; unchecked, the kernel
     # emptied S in one step and "converged" with S_inf = 0.  The step is
-    # counted across chunks, and the message is the generic path's own.
-    monkeypatch.setattr("spepi.model._FIRST_CHUNK_ROWS", first_chunk_rows)
+    # counted across blocks, and the message is the generic path's own.
+    monkeypatch.setattr("spepi.model.BLOCK_ROWS", block_rows)
     params = StageParams(gamma=[0.5], N=1.0)
     inc = ExponentialIncidence([beta], N=1.0)
     initial = EpidemicState(S=S0, I=[1.0 - S0], R=0.0)
@@ -371,8 +396,8 @@ def _fig2_left(figures, path):
 ])
 def test_kernel_chunk_check_names_step_and_cause(monkeypatch, figures, path, field, stage,
                                                   value, cause, step_no):
-    # first chunks of 4 rows: step 9 lies in the second chunk of 8
-    monkeypatch.setattr("spepi.model._FIRST_CHUNK_ROWS", 4)
+    # blocks of 4 rows: step 9 lies in the third block
+    monkeypatch.setattr("spepi.model.BLOCK_ROWS", 4)
     sc, inc = _fig2_left(figures, path)
     corrupt_one_row(monkeypatch, step_no, field, value, stage)
     with pytest.raises(DynamicsError) as err:
@@ -400,10 +425,10 @@ def test_kernel_chunk_check_reports_drift_beyond_tolerance(monkeypatch, figures)
 
 
 def test_custom_phi_outside_range_stops_the_run_at_its_step():
-    # the callable returns 1.5 at a step past BLOCK_ROWS and past the first
-    # chunk's end; the run must stop there, and never call it on the state
-    # that an inadmissible phi would step to
-    step_no = model_mod._FIRST_CHUNK_ROWS + kernels.BLOCK_ROWS + 5
+    # the callable returns 1.5 at a step past two blocks; the run must stop
+    # there, and never call it on the state that an inadmissible phi would
+    # step to
+    step_no = 2 * model_mod.BLOCK_ROWS + 5
     beta = np.array([0.2, 0.2, 0.1])
     calls = [0]
 

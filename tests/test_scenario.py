@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from spepi import (
 )
 from spepi.scenario import (
     ScenarioError,
+    _parse_ini,
     scenario_from_dict,
     scenario_to_dict,
     set_scenario_value,
@@ -238,6 +241,54 @@ def test_unknown_stopping_keys_are_rejected_by_name(tmp_path):
     path = _write(tmp_path, _FIG2_LEFT + "eps-z = 1e-3\nmax_step = 5")
     with pytest.raises(ScenarioError, match=r"^stopping: unknown key\(s\) eps-z, max_step;"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("[params]", "[scenario]\nlabl = x\n[params]",
+     "scenario: unknown key(s) labl; known: label"),
+    ("N = 1.0", "N = 1.0\nNn = 2", "params: unknown key(s) Nn; known: gamma, N"),
+    ("[initial]", "theta = 5, 5, 5\n[initial]",
+     "incidence: unknown key(s) theta; known: family, beta"),
+    ("[initial]", "r = 4\n[initial]", "incidence: unknown key(s) r; known: family, beta"),
+    ("[initial]", "lambda = 2\n[initial]",
+     "incidence: unknown key(s) lambda; known: family, beta"),
+    ("R = 0.0", "R = 0.0\nZ = 0.01", "initial: unknown key(s) Z; known: S, I, R"),
+    ("[stopping]", "[extra]\n[stopping]",
+     "unknown section(s) extra; known: scenario, params, incidence, initial, stopping"),
+], ids=["scenario-labl", "params-Nn", "theta-under-exponential", "incidence-r",
+        "lambda-under-exponential", "initial-Z", "extra-section"])
+def test_unknown_keys_and_sections_are_rejected_by_name(tmp_path, old, new, message):
+    # each used to be ignored: the file validated and ran on what was left
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_write(tmp_path, _FIG2_LEFT.replace(old, new, 1)))
+    assert str(err.value) == message
+
+
+def test_composed_families_know_the_law_key_and_prefixed_inner_keys(tmp_path):
+    composed = _FIG2_LEFT.replace("family = exponential\nbeta",
+                                  "family = poisson-composed\nlambda = 2\n"
+                                  "pi_family = exponential\npi_beta")
+    assert load_scenario(_write(tmp_path, composed)).incidence.family == "poisson-composed"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(_write(tmp_path, composed.replace("lambda = 2", "lambda = 2\nbeta = 1")))
+    assert str(err.value) == ("incidence: unknown key(s) beta; "
+                              "known: family, pi_family, lambda, pi_beta")
+
+
+def test_benchmark_scenario_files_hold_only_known_keys(monkeypatch):
+    # the benchmark writes its scenario files with perfbench/oracle.ini_text,
+    # except for library operations and the bundled figures
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import oracle
+    import worker
+    import workloads
+
+    files = [desc["spec"] for workload in workloads.WORKLOADS
+             for desc in workloads.build_round(workload, 7, worker.figure_specs())
+             if desc["kind"] != "library" and not desc.get("bundled")]
+    assert len(files) > 20
+    for spec in files:
+        scenario_from_dict(_parse_ini(oracle.ini_text(spec), spec["label"]))
 
 
 def test_sweep_paths_name_numeric_entries(figures):

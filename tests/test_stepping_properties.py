@@ -8,8 +8,7 @@ prevalence.  ``_reference_run`` below keeps the earlier form: a
 descending loop over the stages, then a separate sequential sum of Z.
 Every stage value has the same operands and Z the same summation order in
 both, so the trajectories must agree under ``float.hex``.  The small
-block and chunk sizes cross the twin's block edges and the run's chunk
-edges on every encoding.  The same runs check conservation, S
+block sizes cross the run's block edges on every encoding.  The same runs check conservation, S
 non-increasing and I >= 0.
 """
 
@@ -167,19 +166,17 @@ ENCODINGS = [
     gamma_mode=st.sampled_from(["small", "large", "mixed"]),
     eps=st.sampled_from(["default", "zero", "loose"]),
     sizes=st.one_of(
-        # small blocks and chunks: a short run crosses many of their edges
-        st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 200)),
-        # the real sizes: crosses BLOCK_ROWS, and the first chunk's end
-        st.tuples(st.just(kernels.BLOCK_ROWS), st.just(model._FIRST_CHUNK_ROWS),
-                  st.integers(1025, 4200)),
+        # small blocks: a short run crosses many of their edges
+        st.tuples(st.integers(1, 40), st.integers(1, 200)),
+        # the real size: crosses BLOCK_ROWS
+        st.tuples(st.just(model.BLOCK_ROWS), st.integers(1025, 4200)),
     ),
 )
-# every encoding runs once past BLOCK_ROWS and the first chunk, and once at n = 200
-@example(seed=1, n=2, gamma_mode="mixed", eps="zero",
-         sizes=(kernels.BLOCK_ROWS, model._FIRST_CHUNK_ROWS, 4200))
-@example(seed=2, n=200, gamma_mode="small", eps="zero", sizes=(7, 5, 60))
+# every encoding runs once past four blocks of BLOCK_ROWS, and once at n = 200
+@example(seed=1, n=2, gamma_mode="mixed", eps="zero", sizes=(model.BLOCK_ROWS, 4200))
+@example(seed=2, n=200, gamma_mode="small", eps="zero", sizes=(7, 60))
 def test_one_pass_update_matches_two_pass_bitwise(encoding, seed, n, gamma_mode, eps, sizes):
-    block_rows, first_chunk_rows, max_steps = sizes
+    block_rows, max_steps = sizes
     if max_steps > 200:
         n = min(n, 2)  # keep the long runs cheap
     if encoding.startswith("split-exponential"):
@@ -194,8 +191,7 @@ def test_one_pass_update_matches_two_pass_bitwise(encoding, seed, n, gamma_mode,
     stopping = StoppingRule(max_steps=max_steps, eps_z=tol, eps_s=tol)
     _, eps_z, eps_s = stopping.resolve(N)
 
-    with mock.patch.object(kernels, "BLOCK_ROWS", block_rows), \
-            mock.patch.object(model, "_FIRST_CHUNK_ROWS", first_chunk_rows):
+    with mock.patch.object(model, "BLOCK_ROWS", block_rows):
         traj = simulate(initial, params, inc, stopping)
     rows, reason = _reference_run(initial, params, inc, max_steps, eps_z, eps_s)
 

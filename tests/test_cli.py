@@ -83,8 +83,9 @@ def test_simulate_deterministic_bytes(tmp_path):
 
 
 def test_trajectory_csv_matches_per_value_formatting(tmp_path):
-    # the writer formats blocks of rows with "%.17g"; over several blocks and
-    # values from subnormal to 1/3 it must give the bytes of f"{x:.17g}"
+    # the writer formats blocks of rows in numpy (spepi._format), subnormals
+    # through the "%.17g" fallback; over several blocks and values from
+    # subnormal to 1/3 it must give the bytes of f"{x:.17g}"
     values = [5e-324, 1e-240, 0.1, 1 / 3, 0.0, 1.0, 2.2250738585072014e-308, 0.99]
     rows, n = 2500, 2
     draw = np.random.default_rng(3).choice(values, size=(rows, n + 4))

@@ -20,10 +20,12 @@ from .incidence import (
 from .model import (
     DynamicsError,
     EpidemicState,
+    RunSummary,
     StageParams,
     StoppingRule,
     Trajectory,
     simulate,
+    simulate_summary,
     step,
 )
 from .spectral import (
@@ -70,8 +72,8 @@ __all__ = [
     "CustomIncidence", "DomainError", "ExponentialIncidence", "RegularityReport",
     "IncidenceModel", "LastClassIncidence", "LinearIncidence",
     "SplitExponentialIncidence", "validate_regularity",
-    "DynamicsError", "EpidemicState", "StageParams", "StoppingRule", "Trajectory",
-    "simulate", "step",
+    "DynamicsError", "EpidemicState", "RunSummary", "StageParams", "StoppingRule",
+    "Trajectory", "simulate", "simulate_summary", "step",
     "PerronData", "StageMatrixDecomposition", "build_B",
     "delta", "nrv", "perron",
     "r0", "sign_identities_check",

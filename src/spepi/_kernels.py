@@ -1,8 +1,9 @@
 """The stepping kernel: Python source generated per encoding.
 
-One function steps the map for each key (n, ``ik``, ``ok``, K): stage
-count, the encoding's kinds below and the contact table's length.  It is
-generated on first use and cached, so importing generates nothing.  Up
+One function steps the map for each key (n, ``ik``, ``ok``, K, record):
+stage count, the encoding's kinds below, the contact table's length and
+whether it records the stages.  It is generated on first use and cached,
+so importing generates nothing.  Up
 to ``UNROLL_STAGES`` stages (``UNROLL_TABLE`` entries) each loop is
 written out over locals i0..i{n-1} and the like, with phi inlined; above,
 the key drops n (or K) for a loop form.  Both forms keep each operation's
@@ -16,7 +17,9 @@ functions generated from them for the model objects.
 ``run_chunk`` steps every run: it looks up the stepper for its key and
 calls it on the caller's Python lists (indexing numpy arrays from Python
 boxes a scalar per element).  A model without an encoding passes
-``phi_fn``, called in place of the template.
+``phi_fn``, called in place of the template.  A summary run passes no
+stage buffer: its stepper keeps no stage rows and finds the onset of
+componentwise-strict decrease itself, with the same bits.
 
   inner kind ``ik``:  0 linear  phi = v1 . I
                       1 exponential  phi = -expm1(-(v1 . I))
@@ -81,22 +84,38 @@ def _outer_lines(ok, K):
     return lines
 
 
-def _stepper_lines(n, ik, ok, K):
-    """The stepper's body: ``run_chunk``'s contract without ik and ok."""
+def _stepper_lines(n, ik, ok, K, record):
+    """The stepper's body: ``run_chunk``'s contract without ik and ok.
+
+    Without ``record`` it stores no stage rows and, while ``seek`` holds,
+    looks for the onset: it forms each step's new stages apart from the old
+    ones, by the same expressions in the same order, and compares them."""
     if not n:  # the loop form: the stages stay in the list or array I
         setup = ["n = len(I)", "z = 0.0", "for j in range(n):", "    z += I[j]"]
-        update = ["flow = inc", "z = 0.0", "for j in range(n):", "    old = I[j]",
+        # the onset's lines: before, inside and after the loop over stages
+        seeking = [] if record else ["down = seek", "    down = down and new < old",
+                                     "if down:", "    seek = False; onset = row - 1"]
+        update = ["flow = inc", "z = 0.0", *seeking[:1], "for j in range(n):", "    old = I[j]",
                   "    new = (1.0 - gamma[j]) * old + flow", "    I[j] = new", "    z += new",
-                  "    flow = gamma[j] * old", "R = R + flow"]
+                  "    flow = gamma[j] * old", *seeking[1:2], "R = R + flow", *seeking[2:]]
         store, leave = ["for j in range(n):", "    I_out[row * n + j] = I[j]"], []
     else:
         zsum = "z = " + " + ".join(["0.0"] + [f"i{j}" for j in range(n)])
         setup = [f"g{j} = gamma[{j}]; k{j} = 1.0 - g{j}; i{j} = I[{j}]" for j in range(n)]
         setup += [f"a{j} = v1[{j}]" for j in range(n) if ik is not None]
         setup += [f"b{j} = v2[{j}]" for j in range(n) if ik == 2] + [zsum]
-        update = [f"R = R + g{n - 1} * i{n - 1}"]
-        update += [f"i{j} = k{j} * i{j} + g{j - 1} * i{j - 1}" for j in range(n - 1, 0, -1)]
-        update += ["i0 = k0 * i0 + inc", zsum]
+        stages = [f"{{}}{j} = k{j} * i{j} + g{j - 1} * i{j - 1}" for j in range(n - 1, 0, -1)]
+        stages += ["{}0 = k0 * i0 + inc"]
+        if not record:  # once the onset is found, the stages update in place
+            seeking = [line.format("u") for line in stages]
+            seeking += ["if " + " and ".join(f"u{j} < i{j}" for j in range(n)) + ":",
+                        "    seek = False; onset = row - 1"]
+            seeking += [f"i{j} = u{j}" for j in range(n)]
+            stages = ["if seek:", *("    " + line for line in seeking),
+                      "else:", *("    " + line.format("i") for line in stages)]
+        else:
+            stages = [line.format("i") for line in stages]
+        update = [f"R = R + g{n - 1} * i{n - 1}", *stages, zsum]
         store = [f"base = row * {n}"] + [f"I_out[base + {j}] = i{j}" for j in range(n)]
         leave = [f"I[{j}] = i{j}" for j in range(n)]
     setup += [f"o{i} = op[{i}]" for i in range(K or 0)]
@@ -104,26 +123,29 @@ def _stepper_lines(n, ik, ok, K):
               "conv = z < eps_z and S - S_new < eps_s", "S = S_new"]
     loop = _inner_lines(n, ik) + _outer_lines(ok, K) + [
         "S_out[row] = S", "R_out[row] = R", "phi_out[row] = phi", "Z_out[row] = z",
-        *store, "row += 1", "if conv or row == cap or not 0.0 <= phi < 1.0:", "    break",
-        *update]
+        *(store if record else []), "row += 1",
+        "if conv or row == cap or not 0.0 <= phi < 1.0:", "    break", *update]
+    found = "" if record else ", onset"
     return ["cap = len(S_out)", *setup, "row = 0", "conv = False",
+            *([] if record else ["onset = None"]),
             "if phi >= 0.0:  # the entry state is recorded: step past it",
             *("    " + line for line in update),
             "while True:", *("    " + line for line in loop), *leave,
-            "if not 0.0 <= phi < 1.0:", f"    return row, {INVALID}, S, R, phi",
-            f"return row, {CONVERGED} if conv else {FULL}, S, R, phi"]
+            "if not 0.0 <= phi < 1.0:", f"    return row, {INVALID}, S, R, phi{found}",
+            f"return row, {CONVERGED} if conv else {FULL}, S, R, phi{found}"]
 
 
 def _source(key):
-    """("inner", ik) or ("outer", ok): phi alone; (n, ik, ok, K): the stepper,
-    n or K None selecting a loop form and ik None a custom ``phi_fn``."""
+    """("inner", ik) or ("outer", ok): phi alone; (n, ik, ok, K, record): the
+    stepper, n or K None selecting a loop form, ik None a custom ``phi_fn``
+    and ``record`` False the summary stepper."""
     if key[0] == "inner":
         args, body = "I, v1, v2", _inner_lines(None, key[1]) + ["return pi"]
     elif key[0] == "outer":
         args, body = "pi, op", _outer_lines(key[1], None) + ["return phi"]
     else:
         args = ("S, I, R, phi, gamma, v1, v2, op, eps_z, eps_s, S_out, I_out, R_out, phi_out, "
-                "Z_out, phi_fn")
+                "Z_out, phi_fn, seek")
         body = _stepper_lines(*key)
     return "\n".join([f"def generated({args}):", *("    " + line for line in body)])
 
@@ -141,10 +163,11 @@ def _generated(key):
     return fn
 
 
-def _key(n, ik, ok, K, phi_fn=None):
-    """The stepper's key: n and K None above the unroll limits, ik None for a phi_fn."""
+def _key(n, ik, ok, K, phi_fn=None, record=True):
+    """The stepper's key: n and K None above the unroll limits, ik None for a
+    phi_fn, and whether it records the stages."""
     return (n if n <= UNROLL_STAGES else None, ik if phi_fn is None else None, ok,
-            K if 0 < ok and K <= UNROLL_TABLE else None)
+            K if 0 < ok and K <= UNROLL_TABLE else None, record)
 
 
 def inner_phi(I, ik, v1, v2):
@@ -158,7 +181,7 @@ def outer_phi(pi, ok, op):
 
 
 def run_chunk(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
-              S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
+              S_out, I_out, R_out, phi_out, Z_out, phi_fn=None, seek=True):
     """Advance the map from (S, I, R), recording one row per state.
 
     Every vector argument is a Python list.  Row k holds S, R, phi and
@@ -170,10 +193,16 @@ def run_chunk(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
     status, S, R, phi_last), status CONVERGED (||I|| < eps_z and the S
     decrement < eps_s), INVALID (the last row's phi lies outside [0, 1))
     or FULL (``len(S_out)`` rows recorded; call again).
+
+    ``I_out`` None selects the summary stepper: the same steps, bit for
+    bit, with no stage rows.  It returns a sixth value, the onset: while
+    ``seek`` holds, it looks for the first row k (-1 for the entry state)
+    whose successor lies strictly below it in every stage, by the
+    comparisons of ``asymptotics.monotonicity_onset``; None if none.
     """
-    step = _generated(_key(len(I), ik, ok, len(op), phi_fn))
+    step = _generated(_key(len(I), ik, ok, len(op), phi_fn, I_out is not None))
     return step(S, I, R, phi, gamma, v1, v2, op, eps_z, eps_s,
-                S_out, I_out, R_out, phi_out, Z_out, phi_fn)
+                S_out, I_out, R_out, phi_out, Z_out, phi_fn, seek)
 
 
 # perfbench/worker.py reads this for the run's environment record; there is

@@ -195,9 +195,10 @@ def tail_sum_check(trajectory: Trajectory, t0: int = 0) -> TailSumReport:
     rhs = np.empty(n)
     rel = np.empty(n)
     cum = 0.0
-    for j in range(n):
-        lhs[j] = math.fsum(trajectory.I[t0:, j])
-        cum += float(trajectory.I[t0, j])
+    # math.fsum sums Python floats about twice as fast as numpy scalars
+    for j, column in enumerate(trajectory.I[t0:].T.tolist()):
+        lhs[j] = math.fsum(column)
+        cum += column[0]
         rhs[j] = (trajectory.S[t0] - s_inf + cum) / gamma[j]
         denom = max(abs(rhs[j]), 1e-300)
         rel[j] = abs(lhs[j] - rhs[j]) / denom

@@ -13,13 +13,17 @@ S + I1 + ... + In + R is conserved.
 
 ``simulate`` iterates the map to a stopping rule, recording the full
 trajectory; ``step`` is a one-step ``simulate``, so repeated steps
-reproduce it bit for bit.  Every run steps through ``_kernels.run_chunk``
-(a custom callable's stepper calls ``phi_fn``) in blocks of at most
-``BLOCK_ROWS`` rows on Python lists.  Each block becomes numpy arrays
-and is checked: :class:`DynamicsError` names the first step whose phi
-lies outside [0, 1), whose compartments are not finite and nonnegative,
-or whose S + Z + R drifts from N by more than ``CONSERVATION_TOL_REL * N``.
-The blocks are joined once, at the end.
+reproduce it bit for bit.  ``simulate_summary`` runs the same steps but
+keeps only what a parameter sweep reads (S_inf, the prevalence series Z
+and the monotonicity onset), so its memory grows with the steps, not
+with steps x n.  Every run steps through ``_kernels.run_chunk`` (a custom
+callable's stepper calls ``phi_fn``) in blocks of at most ``BLOCK_ROWS``
+rows on Python lists.  Each block becomes numpy arrays and is checked:
+:class:`DynamicsError` names the first step whose phi lies outside
+[0, 1), whose compartments are not finite and nonnegative, or whose
+S + Z + R drifts from N by more than ``CONSERVATION_TOL_REL * N``, the
+same step and cause in both kinds of run.  The blocks are joined once,
+at the end.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ __all__ = [
     "EpidemicState",
     "StoppingRule",
     "Trajectory",
+    "RunSummary",
     "step",
     "simulate",
+    "simulate_summary",
 ]
 
 # defaults chosen for geometric tail decay: the infected classes shrink by a
@@ -178,6 +184,19 @@ class Trajectory:
         return EpidemicState(S=self.S[t], I=self.I[t], R=self.R[t])
 
 
+@dataclass(frozen=True)
+class RunSummary:
+    """What ``simulate_summary`` keeps of a run; each field equals its
+    :class:`Trajectory` counterpart (``onset`` that of
+    ``asymptotics.monotonicity_onset``)."""
+
+    S_inf: float
+    Z: np.ndarray
+    onset: Optional[int]
+    stop_reason: str
+    n_steps: int
+
+
 def _check_compatible(params: StageParams, incidence: IncidenceModel) -> None:
     if incidence.n != params.n:
         raise ValueError(
@@ -225,27 +244,35 @@ def _row_fault(S, I, R, phi, Z, N) -> str:
             f"by more than {CONSERVATION_TOL_REL:g} N")
 
 
+def _rows_ok(S, R, phi, Z, N):
+    """Which rows pass the checks that read no stage: phi in [0, 1), S, R and
+    Z nonnegative and |S + Z + R - N| <= CONSERVATION_TOL_REL * N.  NaN fails
+    every comparison, and nonnegative S, Z and R with a finite sum are each
+    finite."""
+    drift = S + Z  # the one float temporary, reused in place
+    drift += R
+    drift -= N
+    return ((np.abs(drift, out=drift) <= CONSERVATION_TOL_REL * N) & (phi >= 0.0)
+            & (phi < 1.0) & (S >= 0.0) & (R >= 0.0) & (Z >= 0.0))
+
+
 def _check_rows(S, I, R, phi, Z, N, first_step) -> None:
     """Raise :class:`DynamicsError` at the first recorded row that is not admissible.
 
     A row is admissible when phi lies in [0, 1), every compartment is finite
-    and nonnegative, and |S + Z + R - N| <= CONSERVATION_TOL_REL * N.  NaN
-    fails every comparison, and nonnegative S, Z and R with a finite sum are
-    each finite, so a few vectorized comparisons find every cause.
+    and nonnegative, and |S + Z + R - N| <= CONSERVATION_TOL_REL * N.  With
+    I None only the checks of ``_rows_ok`` run.
     """
-    drift = S + Z  # the one float temporary, reused in place
-    drift += R
-    drift -= N
-    ok = ((np.abs(drift, out=drift) <= CONSERVATION_TOL_REL * N) & (phi >= 0.0)
-          & (phi < 1.0) & (S >= 0.0) & (R >= 0.0) & (Z >= 0.0))
+    ok = _rows_ok(S, R, phi, Z, N)
     # the stages are reduced flat first: a reduction along each row of a
     # narrow (rows, n) block costs about ten times more
-    if ok.all() and I.min() >= 0.0 and I.max() < math.inf:
+    if ok.all() and (I is None or (I.min() >= 0.0 and I.max() < math.inf)):
         return
-    ok &= (I >= 0.0).all(axis=1) & (I < math.inf).all(axis=1)
+    if I is not None:
+        ok &= (I >= 0.0).all(axis=1) & (I < math.inf).all(axis=1)
     k = int(np.argmin(ok))
-    cause = _row_fault(float(S[k]), I[k].tolist(), float(R[k]), float(phi[k]),
-                       float(Z[k]), N)
+    cause = _row_fault(float(S[k]), [] if I is None else I[k].tolist(), float(R[k]),
+                       float(phi[k]), float(Z[k]), N)
     raise DynamicsError(first_step + k, cause)
 
 
@@ -254,32 +281,71 @@ def _check_rows(S, I, R, phi, Z, N, first_step) -> None:
 BLOCK_ROWS = 1024
 
 
-def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s, phi_fn=None):
+def _buffers(size, n, record):
+    """The stepper's S, I, R, phi and Z list buffers for ``size`` rows; I None
+    without ``record``."""
+    return [[0.0] * size, [0.0] * (size * n) if record else None,
+            [0.0] * size, [0.0] * size, [0.0] * size]
+
+
+def _arrays(bufs, rows, n):
+    """The first ``rows`` rows of each buffer as an array, I as (rows, n)."""
+    S, I, R, phi, Z = (None if buf is None else np.fromiter(buf, float, rows * width)
+                       for buf, width in zip(bufs, (1, n, 1, 1, 1)))
+    return S, None if I is None else I.reshape(rows, n), R, phi, Z
+
+
+def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s, phi_fn=None,
+                     record=True):
+    """Step a run in blocks: (S, I, R, phi, Z, reason) as arrays, or without
+    ``record`` (S_inf, Z, onset, reason).
+
+    A summary block is checked without its stages.  While the earlier rows
+    pass, each new stage is a sum of products of finite nonnegative values,
+    and Z, their sum, is checked finite, so it bounds each one.  A block
+    that fails is stepped again from its entry state with its stages kept,
+    so the error names the step and cause a full run names.
+    """
     ik, v1, v2, ok, op = spec
     fixed = (gamma.tolist(), ik, v1.tolist(), v2.tolist(), ok, op.tolist(), eps_z, eps_s)
     S, I, R = initial.S, initial.I.tolist(), initial.R
-    widths = (1, len(I), 1, 1, 1)  # of a row in each buffer: S, I, R, phi, Z
+    n = len(I)
     phi = -1.0  # entry state not yet recorded
     blocks = []
     done = 0
     bufs = None
+    onset = None
     status = _kernels.FULL
     while status == _kernels.FULL and done <= max_steps:
         size = min(BLOCK_ROWS, max_steps + 1 - done)
         if bufs is None or len(bufs[0]) != size:
-            bufs = [[0.0] * (size * width) for width in widths]
-        rows, status, S, R, phi = _kernels.run_chunk(S, I, R, phi, *fixed, *bufs, phi_fn)
-        block = [np.fromiter(buf, float, rows * width) for buf, width in zip(bufs, widths)]
-        block[1] = block[1].reshape(rows, widths[1])
-        _check_rows(*block, N, done)  # raises on an INVALID block's last row
-        blocks.append(block)
+            bufs = _buffers(size, n, record)
+        entry = None if record else (S, I.copy(), R, phi)
+        # a summary stepper returns one more value: the onset it found, or None
+        rows, status, S, R, phi, *found = _kernels.run_chunk(
+            S, I, R, phi, *fixed, *bufs, phi_fn, onset is None)
+        block = _arrays(bufs, rows, n)
+        if record:
+            _check_rows(*block, N, done)  # raises on an INVALID block's last row
+            blocks.append(block)
+        else:
+            if not _rows_ok(block[0], *block[2:], N).all():
+                # a stage may name the fault: step the block again with them kept
+                full = _buffers(size, n, True)
+                _kernels.run_chunk(*entry, *fixed, *full, phi_fn)
+                _check_rows(*_arrays(full, rows, n), N, done)
+                _check_rows(*block, N, done)  # reached only if phi_fn changed its values
+            blocks.append(block[4])
+            if onset is None and found[0] is not None:
+                onset = done + found[0]
         done += rows
-    concat = [np.concatenate(column) for column in zip(*blocks)]
     reason = "converged" if status == _kernels.CONVERGED else "max-steps"
-    return (*concat, reason)
+    if not record:
+        return S, np.concatenate(blocks), onset, reason
+    return (*(np.concatenate(column) for column in zip(*blocks)), reason)
 
 
-def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
+def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s, record=True):
     """``_simulate_kernel`` for a model without an encoding: phi_fn calls it."""
 
     def phi_fn(I):
@@ -288,7 +354,22 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s):
         return float(incidence._phi_raw(np.asarray(I, dtype=float))) if any(I) else 0.0
 
     return _simulate_kernel(initial, params.gamma, params.N, (0, _EMPTY, _EMPTY, 0, _EMPTY),
-                            max_steps, eps_z, eps_s, phi_fn)
+                            max_steps, eps_z, eps_s, phi_fn, record)
+
+
+def _run(initial, params, incidence, stopping, record):
+    """Check the inputs, then step through ``_simulate_kernel``; None when no
+    one is infected (the dynamics are the identity there)."""
+    _check_compatible(params, incidence)
+    initial.validate_against(params)
+    limits = (stopping or StoppingRule()).resolve(params.N)
+    if initial.Z == 0.0:
+        return limits, None
+    spec = incidence.kernel_spec()
+    if spec is not None:
+        return limits, _simulate_kernel(initial, params.gamma, params.N, spec, *limits,
+                                        record=record)
+    return limits, _simulate_generic(initial, params, incidence, *limits, record)
 
 
 def simulate(
@@ -311,30 +392,34 @@ def simulate(
         vector short-circuits to a single-row trajectory (the dynamics are
         the identity there).
     """
-    _check_compatible(params, incidence)
-    initial.validate_against(params)
-    stopping = stopping or StoppingRule()
-    max_steps, eps_z, eps_s = stopping.resolve(params.N)
-
-    if initial.Z == 0.0:
-        return Trajectory(
-            params=params, incidence=incidence,
-            S=np.array([initial.S]), I=initial.I.reshape(1, -1).copy(),
-            R=np.array([initial.R]), phi=np.array([0.0]), Z=np.array([0.0]),
-            stop_reason="converged", eps_z=eps_z, eps_s=eps_s, max_steps=max_steps,
-        )
-
-    spec = incidence.kernel_spec()
-    if spec is not None:
-        S, I, R, phi, Z, reason = _simulate_kernel(
-            initial, params.gamma, params.N, spec, max_steps, eps_z, eps_s
-        )
+    (max_steps, eps_z, eps_s), run = _run(initial, params, incidence, stopping, True)
+    if run is None:
+        S, I, R = np.array([initial.S]), initial.I.reshape(1, -1).copy(), np.array([initial.R])
+        phi, Z, reason = np.array([0.0]), np.array([0.0]), "converged"
     else:
-        S, I, R, phi, Z, reason = _simulate_generic(
-            initial, params, incidence, max_steps, eps_z, eps_s
-        )
+        S, I, R, phi, Z, reason = run
     return Trajectory(
         params=params, incidence=incidence,
         S=S, I=I, R=R, phi=phi, Z=Z,
         stop_reason=reason, eps_z=eps_z, eps_s=eps_s, max_steps=max_steps,
     )
+
+
+def simulate_summary(
+    initial: EpidemicState,
+    params: StageParams,
+    incidence: IncidenceModel,
+    stopping: Optional[StoppingRule] = None,
+) -> RunSummary:
+    """``simulate`` keeping only S_inf, Z, the onset and the stop.
+
+    The run steps through the same stepper, bit for bit, and passes the
+    same checks: it raises the :class:`DynamicsError` ``simulate`` raises.
+    It records no stage rows, so its memory grows with the steps alone.
+    """
+    _, run = _run(initial, params, incidence, stopping, False)
+    if run is None:
+        return RunSummary(S_inf=initial.S, Z=np.array([0.0]), onset=None,
+                          stop_reason="converged", n_steps=0)
+    S_inf, Z, onset, reason = run
+    return RunSummary(S_inf=S_inf, Z=Z, onset=onset, stop_reason=reason, n_steps=len(Z) - 1)

@@ -42,6 +42,7 @@ import io
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
+from typing import Optional
 
 import numpy as np
 
@@ -197,33 +198,49 @@ def _build_incidence(data: dict, N: float) -> IncidenceModel:
     return pi
 
 
-def scenario_from_dict(data: dict) -> Scenario:
-    """Build and validate a Scenario from nested section dicts of strings."""
+def scenario_from_dict(data: dict, built: Optional[dict] = None) -> Scenario:
+    """Build and validate a Scenario from nested section dicts of strings.
+
+    ``built`` is a dict the caller owns and passes again with each ``data``
+    (as a sweep does).  It maps each section to its entries (and N, for
+    [incidence]) and the object built from them, and a section whose
+    entries have not changed is not parsed or built again.  The checks
+    across sections run every time.
+    """
     _check_known(data, list(_SECTIONS), "unknown section(s)")
     for section in ("params", "incidence", "initial"):
         if section not in data:
             raise ScenarioError(f"{section}: required section is missing")
     label = _parse_section(data, "scenario").get("label", "")
 
+    def build(section, make, *extra):
+        """``make()``, or the object ``built`` holds for the same entries."""
+        if built is None:
+            return make()
+        key = (dict(data.get(section, {})), *extra)
+        if section not in built or built[section][0] != key:
+            built[section] = (key, make())
+        return built[section][1]
+
     # a ValueError from a constructor becomes a ScenarioError naming the
     # section being built; one try costs nothing until it catches
     where = "params"
     try:
-        params = StageParams(**_parse_section(data, "params"))
+        params = build("params", lambda: StageParams(**_parse_section(data, "params")))
 
         where = "incidence"
-        incidence = _build_incidence(data, params.N)
+        incidence = build("incidence", lambda: _build_incidence(data, params.N), params.N)
         if incidence.n != params.n:
             raise ScenarioError(
                 f"incidence: built for {incidence.n} stages but params.gamma has {params.n}"
             )
 
         where = "initial"
-        initial = EpidemicState(**_parse_section(data, "initial"))
+        initial = build("initial", lambda: EpidemicState(**_parse_section(data, "initial")))
         initial.validate_against(params)
 
         where = "stopping"
-        stopping = StoppingRule(**_parse_section(data, "stopping"))
+        stopping = build("stopping", lambda: StoppingRule(**_parse_section(data, "stopping")))
         stopping.resolve(params.N)
     except ValueError as exc:
         if isinstance(exc, ScenarioError):

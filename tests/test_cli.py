@@ -427,16 +427,17 @@ def test_non_finite_scenario_value_exits_1(tmp_path, capsys, section, line, comm
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
 def test_phi_one_scenario_exits_1(tmp_path, capsys, command):
     # exp(-40) rounds phi(I(0)) to 1.0; simulate used to write
-    # S_inf_estimate = 0 and exit 0
+    # S_inf_estimate = 0 and exit 0.  sweep's summary runs fail alike
     path = tmp_path / "phi1.ini"
     path.write_text("[params]\ngamma = 0.5\nN = 1.0\n"
                     "[incidence]\nfamily = exponential\nbeta = 50\n"
                     "[initial]\nS = 0.2\nI = 0.8\nR = 0.0\n", encoding="utf-8")
     out = tmp_path / "o.csv"
-    args = ["--out", str(out)] if command == "simulate" else []
+    args = {"simulate": ["--out", str(out)], "analyze": [],
+            "sweep": ["--out", str(out), "--param", "incidence.beta[0]", "--grid", "50"]}[command]
     assert main([command, "--scenario", str(path), *args]) == 1
     assert capsys.readouterr().err == "error: step 0: phi = 1.0 lies outside [0, 1)\n"
     assert not out.exists()
@@ -448,6 +449,35 @@ def test_invalid_dynamics_exit_1(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--scenario", "fig2-left", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: step 7: I3 = -0.001 is negative\n"
     assert not out.exists()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main reuses one parser: calls in one process, after other subcommands
+    # and a usage error, print what they print with a parser of their own
+    calls = [["validate", "--scenario", "fig2-left"],
+             ["analyze", "--scenario", "fig3-bottom", "--max-steps", "50"],
+             ["sweep", "--scenario", "fig2-left", "--out", str(tmp_path / "s.csv"),
+              "--param", "incidence.beta[2]", "--grid", "0.1,0.2"],
+             ["validate", "--scenario", "fig2-right"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = [run(argv) for argv in [*calls, ["sweep", "--scenario", "fig2-left"]]]
+    assert shared[-1][0] == 2 and "required" in shared[-1][2]
+    assert run(calls[0]) == shared[0]  # after the usage error
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0]
+    assert shared[:-1] == fresh
 
 
 def test_io_error_exit_code(tmp_path):

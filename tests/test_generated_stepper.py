@@ -36,7 +36,8 @@ def test_each_key_is_generated_once_across_a_sweep(generated, tmp_path):
                  "--param", "incidence.beta[2]", "--grid", "0.05:0.5:34"]) == 0
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 35
     steppers = [key for key in generated if key[0] not in ("inner", "outer")]
-    assert steppers == [(3, 1, 0, None)]  # fig2-left: 3 stages, exponential
+    # fig2-left: 3 stages, exponential; a sweep records no stage rows
+    assert steppers == [(3, 1, 0, None, False)]
     assert set(generated.values()) == {1}
 
 
@@ -75,10 +76,10 @@ def test_stepper_matches_the_reference_at_the_unroll_limit(encoding, n, generate
     spec = inc.kernel_spec()
     steppers = _check_against_reference(inc, rng, n, N, generated)
     if spec is None:  # a custom model calls phi_fn from the stepper
-        want = (n if n == U else None, None, 0, None)
+        want = (n if n == U else None, None, 0, None, True)
     else:
         ik, _, _, ok, op = spec
-        want = (n if n == U else None, ik, ok, len(op) if ok else None)
+        want = (n if n == U else None, ik, ok, len(op) if ok else None, True)
     assert steppers == [want]
 
 
@@ -92,6 +93,7 @@ def test_stepper_matches_the_reference_on_long_contact_tables(inner, K, generate
                             ContactDistribution.explicit(rng.dirichlet(np.ones(K))))
     steppers = _check_against_reference(inc, rng, n, N, generated)
     if inner == "custom":
-        assert steppers == [(n, None, 0, None)]
+        assert steppers == [(n, None, 0, None, True)]
     else:
-        assert steppers == [(n, inc.kernel_spec()[0], 1, K if K == kernels.UNROLL_TABLE else None)]
+        assert steppers == [(n, inc.kernel_spec()[0], 1, K if K == kernels.UNROLL_TABLE else None,
+                             True)]

@@ -36,6 +36,11 @@ _SCENARIO_RUNS = (
     ("simulate-eps-1e-200", ["simulate", "--eps-z", "1e-200", "--eps-s", "1e-200"], "file"),
     ("analyze", ["analyze"], "stdout"),
     ("sweep-gamma0", ["sweep", "--param", "params.gamma[0]", "--grid", "0.1:0.9:30"], "file"),
+    # R0 crosses 1 inside this grid on every bundled scenario
+    ("sweep-beta0", ["sweep", "--param", "incidence.beta[0]", "--grid", "0:2:21"], "file"),
+    # deep runs: each crosses the 1024-row block edge of model.BLOCK_ROWS
+    ("sweep-gamma0-eps-1e-200", ["sweep", "--param", "params.gamma[0]", "--grid", "0.1:0.9:10",
+                                 "--eps-z", "1e-200", "--eps-s", "1e-200"], "file"),
 )
 
 

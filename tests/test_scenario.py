@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -319,3 +320,51 @@ def test_sweep_writes_integer_entries_as_integers(figures):
     assert last["incidence"]["n"] == "2"
     with pytest.raises(ScenarioError, match="n takes integers"):
         set_scenario_value(last, "incidence.n", float("nan"))
+
+
+def _sections(sc):
+    return sc.params, sc.incidence, sc.initial, sc.stopping
+
+
+@pytest.mark.parametrize("edits, rebuilt", [
+    ({"params.gamma[0]": 0.5}, {0}),
+    ({"params.N": 2.0, "initial.S": 1.99}, {0, 1, 2}),  # [incidence] is built with N
+    ({"params.N": 2.0}, None),
+    ({"incidence.beta[1]": 0.3}, {1}),
+    ({"initial.S": 0.98, "initial.R": 0.01}, {2}),
+    ({"initial.S": 0.9}, None),
+    ({"stopping.max_steps": 7.0}, {3}),
+])
+def test_built_sections_are_reused_until_their_entries_change(figures, edits, rebuilt):
+    base = scenario_to_dict(figures["fig2-left"])
+    built = {}
+    first = _sections(scenario_from_dict(base, built))
+    assert all(a is b for a, b in zip(_sections(scenario_from_dict(base, built)), first))
+    data = {section: dict(entries) for section, entries in base.items()}
+    for path, value in edits.items():
+        set_scenario_value(data, path, value)
+    try:
+        fresh = scenario_from_dict(data)
+    except ScenarioError as exc:  # S + Z + R no longer N: checked across sections
+        assert rebuilt is None
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(exc))}$"):
+            scenario_from_dict(data, built)
+        return
+    again = scenario_from_dict(data, built)
+    assert {k for k, (a, b) in enumerate(zip(first, _sections(again))) if a is not b} == rebuilt
+    assert scenario_to_dict(again) == scenario_to_dict(fresh)
+
+
+def test_built_sections_keep_the_cross_section_checks(figures):
+    # gamma gains a stage: the cached 3-stage incidence no longer fits
+    base = scenario_to_dict(figures["fig2-left"])
+    built = {}
+    scenario_from_dict(base, built)
+    data = {section: dict(entries) for section, entries in base.items()}
+    data["params"]["gamma"] += ", 0.5"
+    with pytest.raises(ScenarioError) as fresh:
+        scenario_from_dict(data)
+    with pytest.raises(ScenarioError) as cached:
+        scenario_from_dict(data, built)
+    assert str(cached.value) == str(fresh.value)
+    assert "built for 3 stages but params.gamma has 4" in str(fresh.value)

@@ -113,6 +113,20 @@ def test_onset_on_either_side_of_a_block_edge(monkeypatch, figures, stopping):
                                         else "converged")
 
 
+@pytest.mark.parametrize("n", [2, U + 1], ids=["unrolled", "loop"])
+def test_a_tie_is_not_a_decrease(n):
+    # with gamma = 1/2 and equal stages, 0.5 * x + 0.5 * x == x: every stage
+    # past the first keeps its value exactly until the first one's fall
+    # reaches it, so no row decreases strictly in all of them before then
+    params = StageParams(gamma=np.full(n, 0.5), N=1.0)
+    inc = ExponentialIncidence(np.full(n, 1e-5), N=1.0)  # the first stage falls at once
+    I = np.full(n, 0.01 / n)
+    traj = _check_summary(EpidemicState(S=1.0 - I.sum(), I=I, R=0.0), params, inc,
+                          StoppingRule(max_steps=60))
+    assert traj.I[1, -1] == traj.I[0, -1]
+    assert monotonicity_onset(traj).onset != 0
+
+
 def test_zero_seed_summary_is_one_row():
     params = StageParams(gamma=[0.5, 0.5], N=1.0)
     inc = ExponentialIncidence([0.5, 0.5], N=1.0)

@@ -18,11 +18,12 @@ k -/+ 1.  Every other value (near-ties, a floor still out of range,
 subnormals, -0.0, negatives, inf and nan) is formatted by "%.17g" itself
 and spliced back in.
 
-Assembly.  Each value fills a fixed template of `_WIDTH` bytes: "0.000",
-its 17 digits each followed by ".", then "e", the exponent's sign and
-three exponent digits, then the separator.  A mask row looked up by
-(notation kind, significant-digit count) keeps the bytes "%.17g" prints,
-and one `np.compress` joins the kept bytes of the whole block.
+Assembly.  Each value fills six 8-byte words: a pad, "0.000", its first
+digit and "."; four words "d.d.d.d."; "e", sign, three exponent digits and
+the separator.  Each word is one gather from a uint64 table built from
+byte rows (so no byte order enters).  Mask words looked up by (notation
+kind, significant-digit count) zero the bytes "%.17g" does not print, and
+`bytes.translate` deletes them.  Work runs in place where numpy allows.
 
 The power-of-ten and assembly tables are built on first use, not at import.
 """
@@ -43,12 +44,12 @@ _TIE_MARGIN = 2.0 ** -30
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into halves
 _LOW, _HIGH = 10 ** 16, 10 ** 17
 
-# template: "0.000" at 0-4, digit i at 5 + 2i with its "." at 6 + 2i,
-# "e" at 39, the sign at 40, three exponent digits at 41-43, separator at 44
-_DIGIT0 = 5
-_EXP = 39
-_SEP = 44
-_WIDTH = 45
+# template bytes: "0.000" at 1-5, digit i at 6 + 2i with its "." at 7 + 2i,
+# "e" at 40, the sign at 41, exponent digits at 42-44, separator at 45, of 48
+_DIGIT0 = 6
+_EXP = 40
+_SEP = 45
+_SLICE = 1 << 16  # template bytes per call of bytes.translate
 # notation kinds: k + 4 for fixed notation, k in [-4, 16]; then scientific
 # with a two-digit and with a three-digit exponent
 _SCI2, _SCI3 = 21, 22
@@ -81,26 +82,34 @@ def _pow10_table():
     return hi, hh, hi - hh, np.array(lo), np.array(exp, dtype=np.int32)
 
 
-def _scaled(m, e, q, table):
+def _scaled(m, e, i, table):
     """floor(y) as int64 and the fractional part of y, y = m * 2**e * 10**q
-    in double-double arithmetic (m in [0.5, 1) from np.frexp)."""
-    i = q - _Q_MIN
-    hi, hh, hl, lo, exp = (column[i] for column in table)
-    p = m * hi
-    c = _SPLIT * m
+    in double-double arithmetic (m in [0.5, 1) from np.frexp, i = q - _Q_MIN).
+    It works in place on six float buffers and overwrites m and e."""
+    hi, hh, hl, lo, exp = table
+    p = m * np.take(hi, i)
+    c = m * _SPLIT
     mh = c - (c - m)
-    ml = m - mh
-    err = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl  # p + err = m * hi exactly
-    t = err + m * lo
-    s = p + t
-    t = t - (s - p)  # s + t = p + t, normalised
-    sh = e + exp
-    y_hi = np.ldexp(s, sh)
-    y_lo = np.ldexp(t, sh)
-    f = np.floor(y_hi)
-    r = (y_hi - f) + y_lo
-    g = np.floor(r)
-    return f.astype(np.int64) + g.astype(np.int64), r - g
+    ml = np.subtract(m, mh, out=c)
+    err = mh * np.take(hh, i)
+    err -= p
+    b = np.take(hl, i)
+    err += np.multiply(mh, b, out=mh)
+    err += np.multiply(ml, np.take(hh, i, out=mh), out=mh)  # hh again: no 7th buffer for ml * hh
+    err += np.multiply(ml, b, out=b)  # p + err = m * hi exactly
+    err += np.multiply(m, np.take(lo, i, out=b), out=m)  # t = err + m * lo
+    s = np.add(p, err, out=b)
+    err -= np.subtract(s, p, out=p)  # s + err = p + t, normalised
+    e += np.take(exp, i)
+    np.ldexp(s, e, out=s)
+    np.ldexp(err, e, out=err)
+    s -= np.floor(s, out=mh)
+    s += err  # r = (y_hi - f) + y_lo, f = floor(y_hi) in mh
+    s -= np.floor(s, out=err)
+    fl = ml.view(np.int64)
+    fl[...] = mh
+    fl += err.astype(np.int8)
+    return fl, s
 
 
 def _digits(x: np.ndarray):
@@ -111,15 +120,15 @@ def _digits(x: np.ndarray):
     big = np.finfo(np.float64).max
     fast = (x >= tiny) & (x <= big)
     zero = (x == 0.0) & ~np.signbit(x)
-    xs = np.where(fast, x, 1.0)
-    k = np.floor(np.log10(xs)).astype(np.int64)
-    m, e = np.frexp(xs)
+    m = np.where(fast, x, 1.0)
+    k = np.floor(np.log10(m)).astype(np.int16)
+    m, e = np.frexp(m, out=(m, None))
     table = _pow10_table()
-    fl, frac = _scaled(m, e, 16 - k, table)
+    fl, frac = _scaled(m, e, np.subtract(16 - _Q_MIN, k, dtype=np.intp), table)
     redo = np.flatnonzero((fl < _LOW) | (fl >= _HIGH))
-    if redo.size:
+    if redo.size:  # normal values only: every other x was scaled as 1.0
         k[redo] += np.where(fl[redo] < _LOW, -1, 1)
-        fl[redo], frac[redo] = _scaled(m[redo], e[redo], 16 - k[redo], table)
+        fl[redo], frac[redo] = _scaled(*np.frexp(x[redo]), 16 - _Q_MIN - k[redo], table)
     slow = ~(fast | zero) | (fl < _LOW) | (fl >= _HIGH) | (np.abs(frac - 0.5) < _TIE_MARGIN)
     D = fl + (frac > 0.5)
     carry = D == _HIGH
@@ -130,72 +139,88 @@ def _digits(x: np.ndarray):
 
 @functools.cache
 def _assembly_tables():
-    """The lookup tables of the assembly, as (pairs, zeros, exponents, kinds,
-    masks): for each 4-digit group g in 0000-9999 its template bytes
-    "d.d.d.d." (pairs[g]) and its count of trailing zero digits, 4 for 0000
-    (zeros[g]); for each decimal exponent k the bytes "e", sign and three
-    digits (exponents[k - _K_MIN]) and its notation kind (kinds[k - _K_MIN]);
-    and for each kind and s significant digits, 1 to 17, the template bytes
-    "%.17g" prints (masks[kind * 18 + s])."""
+    """The lookup tables of the assembly, as (leads, pairs, zeros, exponents,
+    kinds, masks): word 0 for each first digit d (leads[d]); for each group g
+    in 0000-9999 its word "d.d.d.d." and its count of trailing zero digits,
+    4 for 0000 (pairs[g], zeros[g]); for each decimal exponent k word 5 cut to
+    the bytes "%.17g" prints, separator zero, and 18 times its notation kind
+    (exponents[k - _K_MIN], kinds[k - _K_MIN]); for each kind and s digits,
+    1 to 17, words 0-4 of 0xff where "%.17g" prints (masks[:, kind * 18 + s])."""
+    leads = np.frombuffer(b"".join(b"\0" b"0.000%c." % d for d in b"0123456789"), np.uint8)
     g = np.arange(10000)
     digits = (g[:, None] // np.array([1000, 100, 10, 1])) % 10
     pairs = np.full((10000, 8), ord("."), dtype=np.uint8)
     pairs[:, ::2] = digits + ord("0")
-    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
+    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1).astype(np.int8)
     ks = range(_K_MIN, _K_MAX + 1)
-    exponents = np.frombuffer("".join(f"e{k:+04d}" for k in ks).encode(), dtype=np.uint8)
     kinds = np.array([k + 4 if -4 <= k <= 16 else _SCI2 if abs(k) < 100 else _SCI3
                       for k in ks])
-    keep = np.zeros((_SCI3 + 1, 18, _WIDTH), dtype=bool)
-    keep[..., _SEP] = True
+    exponents = np.array([list(f"e{k:+04d}\0\0\0".encode()) for k in ks], dtype=np.uint8)
+    exponents[kinds < _SCI2] = 0
+    exponents[kinds == _SCI2, 2] = 0  # "e-05": two exponent digits
+    keep = np.zeros((_SCI3 + 1, 18, _EXP), dtype=bool)
     digit = slice(_DIGIT0, _EXP, 2)
     for s in range(1, 18):
         for k in range(-4, 17):
             row = keep[k + 4, s]
             if k < 0:
-                row[:1 - k] = True  # "0." and -k - 1 zeros
+                row[1:2 - k] = True  # "0." and -k - 1 zeros
                 row[digit][:s] = True
             else:
                 row[digit][:max(k + 1, s)] = True
                 row[_DIGIT0 + 2 * k + 1] = s > k + 1
-        for kind, width in ((_SCI2, 2), (_SCI3, 3)):
-            row = keep[kind, s]
-            row[digit][:s] = True
-            row[_DIGIT0 + 1] = s > 1
-            row[_EXP:_EXP + 2] = True
-            row[_SEP - width:_SEP] = True
-    return pairs, zeros, exponents.reshape(-1, 5), kinds, keep.reshape(-1, _WIDTH)
+        for kind in (_SCI2, _SCI3):
+            keep[kind, s, digit][:s] = True
+            keep[kind, s, _DIGIT0 + 1] = s > 1
+    masks = (keep * np.uint8(0xFF)).reshape(-1, _EXP).view(np.uint64)
+    return (leads.view(np.uint64), pairs.view(np.uint64).ravel(), zeros,
+            exponents.view(np.uint64).ravel(), kinds * 18, np.ascontiguousarray(masks.T))
 
 
 def format_rows(block: np.ndarray, sep: str) -> bytes:
     """The rows of a 2-D float array, each value in "%.17g", joined by `sep`
     within a row and ended by "\\n"."""
-    block = np.asarray(block, dtype=np.float64)
+    data = _templates(np.asarray(block, dtype=np.float64), sep)
+    # translate first allocates as many bytes as it reads, so it reads
+    # slices; the templates are freed before the join copies the kept bytes
+    kept = [data[i:i + _SLICE].tobytes().translate(None, b"\0")
+            for i in range(0, data.size, _SLICE)]
+    del data
+    return b"".join(kept)
+
+
+def _templates(block: np.ndarray, sep: str) -> np.ndarray:
+    """The bytes of the six words of each value, zero where "%.17g" prints
+    nothing."""
     rows, cols = block.shape
     x = block.ravel()
-    D, k, slow = _digits(x)
-    pairs, zeros, exponents, kinds, masks = _assembly_tables()
-    src = np.empty((x.size, _WIDTH), dtype=np.uint8)
-    src[:, :_DIGIT0] = np.frombuffer(b"0.000", dtype=np.uint8)
-    # D = d0 * 10**16 + four 4-digit groups; s counts the digits up to the
+    q, k, slow = _digits(x)
+    leads, pairs, zeros, exponents, kinds, masks = _assembly_tables()
+    words = np.empty((x.size, 6), dtype=np.uint64)
+    # each gather fills one contiguous word, copied to its strided column;
+    # "clip" keeps slow values, whose bytes are replaced below, in the tables
+    word = np.empty(x.size, dtype=np.uint64)
+    kk = np.subtract(k, _K_MIN, out=word.view(np.int64))
+    separator = np.frombuffer(bytes(_SEP - _EXP) + sep.encode() + bytes(2), np.uint64)
+    np.bitwise_or(np.take(exponents, kk, mode="clip"), separator, out=words[:, 5])
+    # q = d0 * 10**16 + four 4-digit groups; s counts the digits up to the
     # last nonzero one (one for zero)
-    q = D
-    s = np.full(x.size, 17)
-    done = np.zeros(x.size, dtype=bool)
-    for at in range(_EXP - 8, _DIGIT0, -8):
-        q, g = np.divmod(q, 10000)
-        src[:, at:at + 8] = np.take(pairs, g, axis=0)
-        s -= np.where(done, 0, np.take(zeros, g))
-        done |= g != 0
-    src[:, _DIGIT0] = q + ord("0")
-    src[:, _DIGIT0 + 1] = ord(".")
-    src[:, _EXP:_SEP] = np.take(exponents, k - _K_MIN, axis=0)
-    src[:, _SEP] = ord(sep)
-    src.reshape(rows, cols, _WIDTH)[:, -1, _SEP] = ord("\n")
-    keep = np.take(masks, np.take(kinds, k - _K_MIN) * 18 + s, axis=0)
+    s = np.full(x.size, 17, dtype=np.int8)
+    run = np.ones(x.size, dtype=bool)
+    r = np.empty_like(q)
+    for j in range(4, 0, -1):
+        q -= np.multiply(np.floor_divide(q, 10000, out=r), 10000, out=word.view(np.int64))
+        words[:, j] = np.take(pairs, q, out=word, mode="clip")
+        s -= np.take(zeros, q, mode="clip") * run
+        run &= q == 0
+        q, r = r, q
+    words[:, 0] = np.take(leads, q, out=word, mode="clip")
+    ks = np.take(kinds, np.subtract(k, _K_MIN, out=word.view(np.int64)), out=q, mode="clip")
+    ks += s
+    for j in range(5):
+        words[:, j] &= np.take(masks[j], ks, out=word, mode="clip")
+    data = words.view(np.uint8)
+    data.reshape(rows, cols, -1)[:, -1, _SEP] = ord("\n")
     for i in np.flatnonzero(slow):
-        text = ("%.17g" % x[i]).encode()
-        src[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
-        keep[i, :_SEP] = False
-        keep[i, :len(text)] = True
-    return np.compress(keep.ravel(), src.ravel()).tobytes()
+        data[i, :_SEP] = np.frombuffer(("%.17g" % x[i]).encode().ljust(_SEP, b"\0"), np.uint8)
+    return data.ravel()

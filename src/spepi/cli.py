@@ -67,13 +67,13 @@ def _apply_stopping_overrides(scenario: Scenario, args) -> StoppingRule:
     )
 
 
-# rows formatted per block.  The formatter's numpy temporaries take about
-# 250 bytes per value, so block size sets peak memory: on the benchmark's
-# deep-trajectory runs (3 to 10 stages, seed 3) peak RSS read 46.7 MB with
-# 1024-row blocks and 42.9 MB with 256, against 42.4 MB for the per-value
-# "%.17g" writer; 1024 rows ran 12% faster but past the benchmark's 10%
-# peak-RSS bound
-_CSV_BLOCK_ROWS = 256
+# rows formatted per block.  The formatter's numpy temporaries peak near 85
+# bytes per value (322 with the byte-template assembly before it), and block
+# size sets the writer's peak memory: on the benchmark's deep-trajectory runs
+# peak RSS read 42.72 MB with 512-row blocks against 42.49 MB for 256-row
+# blocks of that assembly (medians, seeds 21-30).  1024-row blocks ran about
+# 4% faster again but read 43.33-43.61 MB against 42.45-42.74 (seeds 21-24)
+_CSV_BLOCK_ROWS = 512
 
 
 def _write_rows(fh, columns, sep: str) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import spepi._kernels as kernels
 from spepi import (
@@ -15,6 +16,10 @@ from spepi import (
     StageParams,
     figure_scenarios,
 )
+
+# a long run of the formatter's property test, chosen on the command line
+# with --hypothesis-profile=thorough; the default profile is unchanged
+settings.register_profile("thorough", max_examples=5000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,12 @@ from hypothesis import given, settings, strategies as st
 import spepi._format as fmt
 from spepi import cli
 
-BLOCK_ROWS = (1, 255, 256, 257)
+# rows on both sides of the writer's block edge
+BLOCK_ROWS = (1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS, cli._CSV_BLOCK_ROWS + 1)
+# tracemalloc peak of format_rows per value on one full block of a t column
+# and 11 geometric tails: 85 bytes measured with 512-row blocks, plus 15%
+# (322 before the word layout)
+PEAK_BYTES_PER_VALUE = 98
 
 
 def _reference(block: np.ndarray, sep: str) -> bytes:
@@ -49,7 +55,8 @@ subnormals_and_zeros = st.one_of(st.integers(1, 2 ** 52 - 1).map(_from_bits),
 values = st.one_of(finite_bits, pow10_neighbours, ties, subnormals_and_zeros)
 
 
-@settings(max_examples=200, deadline=None)
+# 200 examples, or more under a larger profile (--hypothesis-profile=thorough)
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
 @given(st.lists(values, min_size=1, max_size=40), st.sampled_from(BLOCK_ROWS),
        st.integers(1, 6), st.sampled_from([",", " "]))
 def test_block_bytes_equal_per_value_formatting(drawn, rows, cols, sep):
@@ -95,11 +102,36 @@ def test_written_rows_number_t_across_blocks(rows):
     assert out.getvalue() == expected.encode()
 
 
-def test_importing_spepi_builds_no_table():
-    code = ("import spepi, spepi.cli, spepi._format as f; "
-            "print(*(t.cache_info().currsize for t in "
-            "(f._pow10_table, f._assembly_tables)))")
+def test_temporaries_per_value_stay_bounded():
+    rows = cli._CSV_BLOCK_ROWS
+    t = np.arange(rows, dtype=np.float64)
+    tails = [np.exp(-rate * t) * 0.3 for rate in np.linspace(0.02, 0.6, 11)]
+    block = np.column_stack([t] + tails)
+    fmt.format_rows(block, ",")  # builds the tables
+    tracemalloc.start()
+    try:
+        fmt.format_rows(block, ",")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / block.size < PEAK_BYTES_PER_VALUE
+
+
+def test_importing_spepi_builds_no_table(tmp_path):
+    # analyze and sweep write no trajectory rows, so they never load the
+    # formatter; importing it builds none of its cached tables
+    sweep = ["sweep", "--scenario", "fig2-left", "--out", str(tmp_path / "sweep.csv"),
+             "--param", "incidence.beta[2]", "--grid", "0.05:0.5:3"]
+    code = ("import sys, spepi, spepi.cli as c; "
+            "c.main(['analyze', '--scenario', 'fig2-left']); "
+            f"c.main({sweep!r}); "
+            "loaded = 'spepi._format' in sys.modules; "
+            "import spepi._format as f; "
+            "print(loaded, *(t.cache_info().currsize for t in vars(f).values() "
+            "if hasattr(t, 'cache_info')))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fmt.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.split() == ["0", "0"]
+    loaded, *sizes = out.splitlines()[-1].split()
+    assert loaded == "False"
+    assert len(sizes) >= 2 and set(sizes) == {"0"}

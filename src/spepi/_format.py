@@ -192,7 +192,7 @@ def format_rows(block: np.ndarray, sep: str) -> bytes:
 def _templates(block: np.ndarray, sep: str) -> np.ndarray:
     """The bytes of the six words of each value, zero where "%.17g" prints
     nothing."""
-    rows, cols = block.shape
+    cols = block.shape[1]
     x = block.ravel()
     q, k, slow = _digits(x)
     leads, pairs, zeros, exponents, kinds, masks = _assembly_tables()
@@ -220,7 +220,7 @@ def _templates(block: np.ndarray, sep: str) -> np.ndarray:
     for j in range(5):
         words[:, j] &= np.take(masks[j], ks, out=word, mode="clip")
     data = words.view(np.uint8)
-    data.reshape(rows, cols, -1)[:, -1, _SEP] = ord("\n")
+    data[cols - 1::cols, _SEP] = ord("\n")  # the last value of each row
     for i in np.flatnonzero(slow):
         data[i, :_SEP] = np.frombuffer(("%.17g" % x[i]).encode().ljust(_SEP, b"\0"), np.uint8)
     return data.ravel()

@@ -70,9 +70,10 @@ def _apply_stopping_overrides(scenario: Scenario, args) -> StoppingRule:
 # rows formatted per block.  The formatter's numpy temporaries peak near 85
 # bytes per value (322 with the byte-template assembly before it), and block
 # size sets the writer's peak memory: on the benchmark's deep-trajectory runs
-# peak RSS read 42.72 MB with 512-row blocks against 42.49 MB for 256-row
-# blocks of that assembly (medians, seeds 21-30).  1024-row blocks ran about
-# 4% faster again but read 43.33-43.61 MB against 42.45-42.74 (seeds 21-24)
+# (2-core x86-64 Linux, Python 3.11, numpy 2.4) peak RSS read 42.72 MB with
+# 512-row blocks against 42.49 MB for 256-row blocks of that assembly
+# (medians, seeds 21-30).  1024-row blocks ran about 4% faster again but read
+# 43.33-43.61 MB against 42.45-42.74 (seeds 21-24)
 _CSV_BLOCK_ROWS = 512
 
 

@@ -19,6 +19,7 @@ from spepi import (
     LinearIncidence,
     SplitExponentialIncidence,
     StageParams,
+    compose_incidence,
     validate_regularity,
 )
 from spepi.incidence import IncidenceModel
@@ -56,6 +57,79 @@ def test_gradients_at_zero_and_anywhere():
 
     lin = LinearIncidence([0.2, 0.3], N=1.0)
     np.testing.assert_array_equal(lin.grad([0.3, 0.1]), [0.2, 0.3])
+
+
+def _explicit_weight(p, q):
+    """sum_i i p_i q^(i-1), the explicit contact law's derivative in pi."""
+    w, qpow = 0.0, 1.0
+    for i in range(1, len(p)):
+        w += i * p[i] * qpow
+        qpow *= q
+    return w
+
+
+def test_builtin_gradients_and_r_match_their_closed_forms_exactly():
+    # the closed forms are written here, so a change in how a model derives
+    # its gradient or r must keep every bit
+    rng = np.random.default_rng(18)
+    table = ContactDistribution.explicit([0.1, 0.3, 0.4, 0.2])
+    poisson = ContactDistribution.poisson(1.7)
+    for n in range(1, 6):
+        for N in (1.0, 2.5):
+            beta = rng.uniform(0.05, 2.0, n)
+            theta = rng.dirichlet(np.ones(n)) if n > 1 else None
+            lin_beta = beta / (beta.sum() * N) * 0.9
+            b = float(beta[-1])
+            last = np.zeros(n)
+            last[-1] = b
+            exp_inc = ExponentialIncidence(beta, N)
+            lin = LinearIncidence(lin_beta, N)
+            last_exp = LastClassIncidence(n, N, kind="exponential", beta=b)
+            last_lin = LastClassIncidence(n, N, kind="linear", beta=0.9 / N)
+            lin_last = np.zeros(n)
+            lin_last[-1] = 0.9 / N
+            np.testing.assert_array_equal(exp_inc.r, beta)
+            np.testing.assert_array_equal(lin.r, lin_beta)
+            np.testing.assert_array_equal(last_exp.r, last)
+            np.testing.assert_array_equal(last_lin.r, lin_last)
+            composed = {}
+            for dist in (table, poisson):
+                for inner in (exp_inc, last_exp):
+                    model = compose_incidence(inner, dist)
+                    np.testing.assert_array_equal(model.r, dist.mean * inner.r)
+                    composed[dist.kind, inner.family] = model
+            split = None
+            if theta is not None:
+                split = SplitExponentialIncidence(theta, beta, N)
+                np.testing.assert_array_equal(split.r, theta * beta)
+
+            points = [np.zeros(n)] + [
+                N * rng.uniform(0.0, 0.999) * rng.dirichlet(np.ones(n)) for _ in range(6)
+            ]
+            for I in points:
+                x = float(I[-1])
+                exp_grad = math.exp(-float(beta @ I)) * beta
+                np.testing.assert_array_equal(exp_inc.grad(I), exp_grad)
+                np.testing.assert_array_equal(lin.grad(I), lin_beta)
+                last_grad = np.zeros(n)
+                last_grad[-1] = b * math.exp(-b * x)
+                np.testing.assert_array_equal(last_exp.grad(I), last_grad)
+                assert last_exp.scalar_deriv(x) == b * math.exp(-b * x)
+                np.testing.assert_array_equal(last_lin.grad(I), lin_last)
+                assert last_lin.scalar_deriv(x) == 0.9 / N
+                if split is not None:
+                    np.testing.assert_array_equal(
+                        split.grad(I), theta * beta * np.exp(-beta * I))
+                pis = {"exponential": -math.expm1(-sum(v * y for v, y in zip(beta, I))),
+                       "last-class": -math.expm1(-b * x)}
+                grads = {"exponential": exp_grad, "last-class": last_grad}
+                for (law, family), model in composed.items():
+                    pi, g = pis[family], grads[family]
+                    if law == "poisson":
+                        expected = 1.7 * math.exp(-1.7 * pi) * g
+                    else:
+                        expected = _explicit_weight(table.p, 1.0 - pi) * g
+                    np.testing.assert_array_equal(model.grad(I), expected)
 
 
 def test_exponential_analytic_gradient_matches_finite_differences():

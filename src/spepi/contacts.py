@@ -153,9 +153,8 @@ class ComposedIncidence(IncidenceModel):
             self.family, self._ok, self._op = "contact-composed", 1, dist.p
         self.n = pi_model.n
         self.N = pi_model.N
-        self.r = dist.mean * pi_model.r
         try:
-            self._finalize()
+            self._finalize(dist.mean * pi_model.r)
         except ValueError as exc:
             raise ValueError(
                 f"composition is not a valid incidence: {exc} "

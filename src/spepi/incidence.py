@@ -22,11 +22,12 @@ Built-in families:
 
 Contact compositions over any of these live in :mod:`spepi.contacts`.
 
-A built-in family stores its kernel encoding ``_encoding``, evaluated by
-``_kernels.inner_phi`` from the template the generated steppers inline,
-the one definition of its formula.  An encoding makes the model
-``analytic``: it meets the conditions above by construction; only other
-models are sampled by :func:`validate_regularity`.  All exponential
+A built-in family stores its kernel encoding ``_encoding``, which gives phi
+(``_kernels.inner_phi``, from the template the generated steppers inline),
+its gradient (``_inner_grad``) and r; only custom models and compositions
+override them.  An encoding makes the model ``analytic``: it meets the
+conditions above by construction; only other models are sampled by
+:func:`validate_regularity`.  All exponential
 evaluations go through ``expm1``.  The naive form ``1 - exp(-x)`` has
 absolute granularity ~1e-16, which injects a spurious floor into long
 simulations (the infected classes then never decay below ~1e-16 and the
@@ -92,29 +93,40 @@ def _population(N) -> float:
     return N
 
 
-def _fd_slope(f, h: float, up_ok: bool, down_ok: bool) -> float:
+def _fd_slope(f, h: float, up: float, down: float) -> float:
     """Slope at 0 of the scalar function ``f`` by second-order differences.
 
-    Central with step h when both f(h) and f(-h) are admissible (``up_ok``,
-    ``down_ok``); otherwise one-sided into the domain, forward when only
-    the upper side is admissible and backward else.
+    ``up`` and ``down`` are the room inside the domain on each side of 0.
+    Central with step h when both sides have room for it; otherwise
+    one-sided into the roomier side, whose stencil reaches two steps, with
+    step min(h, room / 2), but at least h / 4: a vertex of U has no room.
     """
-    if up_ok and down_ok:
+    if up >= h and down >= h:
         return (f(h) - f(-h)) / (2.0 * h)
-    if up_ok:
-        return (-3.0 * f(0.0) + 4.0 * f(h) - f(2 * h)) / (2.0 * h)
-    return (3.0 * f(0.0) - 4.0 * f(-h) + f(-2 * h)) / (2.0 * h)
+    s = max(min(h, 0.5 * max(up, down)), 0.25 * h)
+    if up >= down:
+        return (-3.0 * f(0.0) + 4.0 * f(s) - f(2 * s)) / (2.0 * s)
+    return (3.0 * f(0.0) - 4.0 * f(-s) + f(-2 * s)) / (2.0 * s)
+
+
+def _inner_grad(I, ik: int, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Gradient at ``I`` of the inner phi of kind ``ik`` (``_kernels._INNER``)."""
+    if ik == 0:
+        return v1.copy()
+    if ik == 1:
+        return math.exp(-float(v1 @ I)) * v1
+    return v1 * v2 * np.exp(-v2 * I)
 
 
 class IncidenceModel:
     """Base class for incidence functions.
 
-    Subclasses implement ``_grad_raw`` on the admissible set and set
-    ``family``, ``n``, ``N`` and ``r`` at construction.  A built-in family
-    gives its kernel encoding ``_encoding = (ik, v1, v2)`` (see
-    :mod:`spepi._kernels`), from which ``_phi_raw`` and ``kernel_spec``
-    follow; a custom model overrides ``_phi_raw`` instead.  The public
-    ``phi``/``grad`` wrappers enforce the domain contract.
+    Subclasses set ``family``, ``n`` and ``N`` at construction.  A built-in
+    family gives its kernel encoding ``_encoding = (ik, v1, v2)`` (see
+    :mod:`spepi._kernels`), from which phi, its gradient, r = grad phi(0)
+    and ``kernel_spec`` follow; only custom models and contact compositions
+    override ``_phi_raw`` and ``_grad_raw``.  The public ``phi``/``grad``
+    wrappers enforce the domain contract.
     """
 
     family: str = "abstract"
@@ -166,7 +178,7 @@ class IncidenceModel:
         return inner_phi(I, *self._encoding)
 
     def _grad_raw(self, I: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return _inner_grad(I, *self._encoding)
 
     def kernel_spec(self):
         """The encoding ``_kernels.run_chunk`` generates a stepper for.
@@ -179,9 +191,9 @@ class IncidenceModel:
             return None
         return (*self._encoding, 0, _EMPTY)
 
-    def _finalize(self) -> None:
-        """Validate the cached gradient at zero.  Call last in __init__."""
-        r = np.asarray(self.r, dtype=float)
+    def _finalize(self, r: Optional[np.ndarray] = None) -> None:
+        """Cache and validate r: ``r`` if given, else the gradient at 0.  Call last in __init__."""
+        r = np.asarray(self._grad_raw(np.zeros(self.n)) if r is None else r, dtype=float)
         if r.shape != (self.n,):
             raise ValueError("gradient at zero has wrong length")
         if np.any(r < 0.0):
@@ -190,7 +202,6 @@ class IncidenceModel:
             raise ValueError(
                 "last infected stage must be infectious to first order (r_n > 0)"
             )
-        r = r.copy()
         r.flags.writeable = False
         self.r = r
 
@@ -209,12 +220,8 @@ class ExponentialIncidence(IncidenceModel):
         self.N = _population(N)
         if np.any(self.beta < 0.0) or not self.beta[-1] > 0.0:
             raise ValueError("beta must be nonnegative with beta_n > 0")
-        self.r = self.beta
         self._encoding = (1, self.beta, _EMPTY)
         self._finalize()
-
-    def _grad_raw(self, I):
-        return math.exp(-float(self.beta @ I)) * self.beta
 
 
 class LinearIncidence(IncidenceModel):
@@ -233,12 +240,8 @@ class LinearIncidence(IncidenceModel):
                 f"sum(beta) = {self.beta.sum():.17g} exceeds 1/N = {1.0 / self.N:.17g}; "
                 "linear incidence would leave [0, 1) on the admissible set"
             )
-        self.r = self.beta
         self._encoding = (0, self.beta, _EMPTY)
         self._finalize()
-
-    def _grad_raw(self, I):
-        return self.beta.copy()
 
 
 class SplitExponentialIncidence(IncidenceModel):
@@ -261,12 +264,8 @@ class SplitExponentialIncidence(IncidenceModel):
             raise ValueError("theta must sum to 1")
         if np.any(self.beta < 0.0) or not self.beta[-1] > 0.0:
             raise ValueError("beta must be nonnegative with beta_n > 0")
-        self.r = self.theta * self.beta
         self._encoding = (2, self.theta, self.beta)
         self._finalize()
-
-    def _grad_raw(self, I):
-        return self.theta * self.beta * np.exp(-self.beta * I)
 
 
 class LastClassIncidence(IncidenceModel):
@@ -304,25 +303,21 @@ class LastClassIncidence(IncidenceModel):
         if kind == "linear":
             if not 0.0 < self.beta <= 1.0 / self.N:
                 raise ValueError("linear last-class profile needs 0 < beta <= 1/N")
-            rn = self.beta
         elif kind == "exponential":
             if not 0.0 < self.beta < math.inf:
                 raise ValueError("exponential last-class profile needs finite beta > 0")
-            rn = self.beta
         elif kind == "custom":
             if func is None:
                 raise ValueError("custom last-class profile needs func")
             z = float(func(0.0))
             if not abs(z) <= 1e-14:  # NaN fails too
                 raise ValueError(f"f(0) must be 0, got {z:.3e}")
-            rn = deriv(0.0) if deriv is not None else self._fd_deriv(0.0)
         else:
             raise ValueError(f"unknown last-class kind {kind!r}")
-        self.r = np.zeros(self.n)
-        self.r[-1] = rn
-        self._finalize()
         if kind != "custom":
-            self._encoding = (0 if kind == "linear" else 1, self.r, _EMPTY)
+            v1 = np.append(np.zeros(self.n - 1), self.beta)
+            self._encoding = (0 if kind == "linear" else 1, v1, _EMPTY)
+        self._finalize()
 
     def scalar_phi(self, x: float) -> float:
         """The scalar profile f applied to the last-stage size."""
@@ -331,17 +326,16 @@ class LastClassIncidence(IncidenceModel):
         return inner_phi((x,), self._encoding[0], (self.beta,), ())
 
     def scalar_deriv(self, x: float) -> float:
-        if self.kind == "linear":
-            return self.beta
-        if self.kind == "exponential":
-            return self.beta * math.exp(-self.beta * x)
+        """The derivative f' of the scalar profile at the last-stage size."""
+        if self._encoding is not None:
+            return float(_inner_grad((x,), self._encoding[0], np.array([self.beta]), _EMPTY)[0])
         if self._deriv is not None:
             return float(self._deriv(x))
         return self._fd_deriv(x)
 
     def _fd_deriv(self, x: float) -> float:
         h = 1e-6 * self.N
-        return _fd_slope(lambda s: self._func(x + s), h, x + h <= self.N, x - h >= 0.0)
+        return _fd_slope(lambda s: self._func(x + s), h, self.N - x, x)
 
     def _phi_raw(self, I):
         if self._encoding is None:  # the custom profile
@@ -398,11 +392,11 @@ class CustomIncidence(IncidenceModel):
     def _fd_grad(self, I: np.ndarray) -> np.ndarray:
         h = 1e-6 * self.N
         g = np.empty(self.n)
-        up_ok = self.N * (1.0 + U_TOLERANCE) - I.sum() >= h
+        up = self.N * (1.0 + U_TOLERANCE) - I.sum()
         for j in range(self.n):
             e = np.zeros(self.n)
             e[j] = 1.0
-            g[j] = _fd_slope(lambda s: self._func(I + s * e), h, up_ok, I[j] >= h)
+            g[j] = _fd_slope(lambda s: self._func(I + s * e), h, up, I[j])
         return g
 
 

@@ -222,6 +222,26 @@ def test_custom_incidence_finite_difference_gradient():
     np.testing.assert_allclose(inc.r, 0.3 * np.array([0.5, 1.5]), rtol=1e-7)
 
 
+@pytest.mark.parametrize("I", [[5e-7, 0.999998], [1.5e-6, 0.999998]],
+                         ids=["short-of-I1", "short-of-mass"])
+def test_finite_difference_gradient_evaluates_phi_inside_u(I):
+    # h = 1e-6 * N; the one-sided stencils reach two steps, so a side with
+    # room for one step of h but not two used to take phi outside U
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x, dtype=float))
+        return 0.3 * -math.expm1(-float(x.sum()))
+
+    inc = CustomIncidence(f, n=2, N=1.0)
+    seen.clear()
+    g = inc.grad(I)
+    assert seen
+    for x in seen:
+        assert x.min() >= 0.0 and x.sum() <= 1.0 + 1e-12, x
+    np.testing.assert_allclose(g, 0.3 * math.exp(-sum(I)), rtol=1e-6)
+
+
 @pytest.mark.parametrize("grad, message", [
     (lambda I: [0.1], "length 3, got 1"),
     (lambda I: [0.1, 0.2, 0.3, 0.4], "length 3, got 4"),
@@ -246,18 +266,36 @@ def _family_and_point(draw):
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     beta = rng.uniform(0.05, 2.0, n)
-    kind = draw(st.sampled_from(["exponential", "linear", "split"]))
+    kind = draw(st.sampled_from(["exponential", "linear", "split", "last-linear",
+                                 "last-exponential", "last-custom"]))
+    # stay off phi = 1 at the full-mass corner of U, which the dynamics never
+    # reach: sum(beta) = 1/N exactly for linear incidence, and its likes
+    below_one = draw(st.floats(0.2, 0.999))
     N = 1.0
     if kind == "linear":
-        # stay off sum(beta) = 1/N exactly: phi hits 1.0 at the full-mass
-        # corner of U, which the dynamics never reach
-        beta = beta / (beta.sum() * N) * draw(st.floats(0.2, 0.999))
+        beta = beta / (beta.sum() * N) * below_one
         inc = LinearIncidence(beta, N)
     elif kind == "split" and n >= 2:
         theta = rng.dirichlet(np.ones(n))
         inc = SplitExponentialIncidence(theta, beta, N)
+    elif kind == "last-linear":
+        inc = LastClassIncidence(n, N, kind="linear", beta=below_one / N)
+    elif kind == "last-exponential":
+        inc = LastClassIncidence(n, N, kind="exponential", beta=beta[-1])
+    elif kind == "last-custom":
+        # f(x) = a x / (1 + k x), concave and saturating
+        k = rng.uniform(0.0, 3.0)
+        a = below_one * (1.0 + k * N) / N
+        inc = LastClassIncidence(n, N, kind="custom", func=lambda x: a * x / (1.0 + k * x),
+                                 deriv=lambda x: a / (1.0 + k * x) ** 2)
     else:
         inc = ExponentialIncidence(beta, N)
+    law = draw(st.sampled_from([None, "explicit", "poisson"]))
+    if law == "explicit":
+        p = rng.dirichlet(np.ones(int(rng.integers(2, 7))))
+        inc = compose_incidence(inc, ContactDistribution.explicit(p))
+    elif law == "poisson":
+        inc = compose_incidence(inc, ContactDistribution.poisson(rng.uniform(0.1, 4.0)))
     w = rng.uniform(0.0, 1.0, n)
     scale = draw(st.floats(0.0, 1.0))
     I = scale * N * w / max(w.sum(), 1e-12)
@@ -265,7 +303,7 @@ def _family_and_point(draw):
 
 
 @given(_family_and_point())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
 def test_first_order_bounds(case):
     # concavity pins phi between its tangent planes at I and at 0
     inc, I = case

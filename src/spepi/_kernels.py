@@ -17,9 +17,9 @@ functions generated from them for the model objects.
 ``run_chunk`` steps every run: it looks up the stepper for its key and
 calls it on the caller's Python lists (indexing numpy arrays from Python
 boxes a scalar per element).  A model without an encoding passes
-``phi_fn``, called in place of the template.  A summary run passes no
-stage buffer: its stepper keeps no stage rows and finds the onset of
-componentwise-strict decrease itself, with the same bits.
+``phi_fn``, called in place of the template.  Every stepper returns six
+values.  A summary run passes no stage buffer: its stepper keeps no stage
+rows and seeks the onset of strict decrease from each call's entry.
 
   inner kind ``ik``:  0 linear  phi = v1 . I
                       1 exponential  phi = -expm1(-(v1 . I))
@@ -36,10 +36,6 @@ relative precision for tiny Pi; the direct form cancels catastrophically.
 from __future__ import annotations
 
 import math
-
-CONVERGED = 1
-FULL = 0
-INVALID = 2
 
 # Unrolled, a step ran 1.3-1.7x faster than the loop form at every n tried
 # (8..2048), and a table sum about 1.5x up to K = 64 (none at 128).  The limit
@@ -87,14 +83,14 @@ def _outer_lines(ok, K):
 def _stepper_lines(n, ik, ok, K, record):
     """The stepper's body: ``run_chunk``'s contract without ik and ok.
 
-    Without ``record`` it stores no stage rows and, while ``seek`` holds,
-    looks for the onset: it forms each step's new stages apart from the old
-    ones, by the same expressions in the same order, and compares them."""
+    Without ``record`` it stores no stage rows and, until it finds the
+    onset, forms each step's new stages apart from the old ones, by the same
+    expressions in the same order, and compares them."""
     if not n:  # the loop form: the stages stay in the list or array I
         setup = ["n = len(I)", "z = 0.0", "for j in range(n):", "    z += I[j]"]
         # the onset's lines: before, inside and after the loop over stages
-        seeking = [] if record else ["down = seek", "    down = down and new < old",
-                                     "if down:", "    seek = False; onset = row - 1"]
+        seeking = [] if record else ["down = onset is None", "    down = down and new < old",
+                                     "if down:", "    onset = row - 1"]
         update = ["flow = inc", "z = 0.0", *seeking[:1], "for j in range(n):", "    old = I[j]",
                   "    new = (1.0 - gamma[j]) * old + flow", "    I[j] = new", "    z += new",
                   "    flow = gamma[j] * old", *seeking[1:2], "R = R + flow", *seeking[2:]]
@@ -109,9 +105,8 @@ def _stepper_lines(n, ik, ok, K, record):
         if not record:  # once the onset is found, the stages update in place
             seeking = [line.format("u") for line in stages]
             seeking += ["if " + " and ".join(f"u{j} < i{j}" for j in range(n)) + ":",
-                        "    seek = False; onset = row - 1"]
-            seeking += [f"i{j} = u{j}" for j in range(n)]
-            stages = ["if seek:", *("    " + line for line in seeking),
+                        "    onset = row - 1", *(f"i{j} = u{j}" for j in range(n))]
+            stages = ["if onset is None:", *("    " + line for line in seeking),
                       "else:", *("    " + line.format("i") for line in stages)]
         else:
             stages = [line.format("i") for line in stages]
@@ -125,14 +120,11 @@ def _stepper_lines(n, ik, ok, K, record):
         "S_out[row] = S", "R_out[row] = R", "phi_out[row] = phi", "Z_out[row] = z",
         *(store if record else []), "row += 1",
         "if conv or row == cap or not 0.0 <= phi < 1.0:", "    break", *update]
-    found = "" if record else ", onset"
-    return ["cap = len(S_out)", *setup, "row = 0", "conv = False",
-            *([] if record else ["onset = None"]),
+    return ["cap = len(S_out)", *setup, "row = 0", "conv = False", "onset = None",
             "if phi >= 0.0:  # the entry state is recorded: step past it",
             *("    " + line for line in update),
             "while True:", *("    " + line for line in loop), *leave,
-            "if not 0.0 <= phi < 1.0:", f"    return row, {INVALID}, S, R, phi{found}",
-            f"return row, {CONVERGED} if conv else {FULL}, S, R, phi{found}"]
+            "return row, conv, S, R, phi, onset"]
 
 
 def _source(key):
@@ -145,7 +137,7 @@ def _source(key):
         args, body = "pi, op", _outer_lines(key[1], None) + ["return phi"]
     else:
         args = ("S, I, R, phi, gamma, v1, v2, op, eps_z, eps_s, S_out, I_out, R_out, phi_out, "
-                "Z_out, phi_fn, seek")
+                "Z_out, phi_fn")
         body = _stepper_lines(*key)
     return "\n".join([f"def generated({args}):", *("    " + line for line in body)])
 
@@ -181,7 +173,7 @@ def outer_phi(pi, ok, op):
 
 
 def run_chunk(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
-              S_out, I_out, R_out, phi_out, Z_out, phi_fn=None, seek=True):
+              S_out, I_out, R_out, phi_out, Z_out, phi_fn=None):
     """Advance the map from (S, I, R), recording one row per state.
 
     Every vector argument is a Python list.  Row k holds S, R, phi and
@@ -190,19 +182,19 @@ def run_chunk(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
     unrecorded and is recorded first; else it was recorded with
     incidence phi and is stepped past.  A row's phi is phi_fn(I) when
     given, else the encoding's; I is updated in place.  Returns (rows,
-    status, S, R, phi_last), status CONVERGED (||I|| < eps_z and the S
-    decrement < eps_s), INVALID (the last row's phi lies outside [0, 1))
-    or FULL (``len(S_out)`` rows recorded; call again).
+    converged, S, R, phi_last, onset), ending at convergence (||I|| <
+    eps_z and the S decrement < eps_s), after ``len(S_out)`` rows, or at
+    a row whose phi lies outside [0, 1), which the row checks reject.
 
     ``I_out`` None selects the summary stepper: the same steps, bit for
-    bit, with no stage rows.  It returns a sixth value, the onset: while
-    ``seek`` holds, it looks for the first row k (-1 for the entry state)
-    whose successor lies strictly below it in every stage, by the
-    comparisons of ``asymptotics.monotonicity_onset``; None if none.
+    bit, with no stage rows.  From each call's entry it seeks the onset,
+    the first row k (-1 for the entry state) whose successor lies strictly
+    below it in every stage, by ``asymptotics.monotonicity_onset``'s
+    comparisons; None if none, and always for the recording stepper.
     """
     step = _generated(_key(len(I), ik, ok, len(op), phi_fn, I_out is not None))
     return step(S, I, R, phi, gamma, v1, v2, op, eps_z, eps_s,
-                S_out, I_out, R_out, phi_out, Z_out, phi_fn, seek)
+                S_out, I_out, R_out, phi_out, Z_out, phi_fn)
 
 
 # perfbench/worker.py reads this for the run's environment record; there is

@@ -93,6 +93,15 @@ def _population(N) -> float:
     return N
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int, checked to be a whole number of at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if not float(value).is_integer():  # NaN and inf fail too
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _fd_slope(f, h: float, up: float, down: float) -> float:
     """Slope at 0 of the scalar function ``f`` by second-order differences.
 
@@ -141,6 +150,8 @@ class IncidenceModel:
             raise DomainError(
                 f"infected vector has shape {I.shape}, expected ({self.n},)"
             )
+        if not np.isfinite(I).all():
+            raise DomainError("infected vector has a non-finite component")
         if np.any(I < 0.0):
             raise DomainError("infected vector has a negative component")
         if I.sum() > self.N * (1.0 + U_TOLERANCE):
@@ -292,9 +303,7 @@ class LastClassIncidence(IncidenceModel):
         func: Optional[Callable[[float], float]] = None,
         deriv: Optional[Callable[[float], float]] = None,
     ):
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        self.n = int(n)
+        self.n = _count(n, "n")
         self.N = _population(N)
         self.kind = kind
         self.beta = float(beta)
@@ -370,9 +379,7 @@ class CustomIncidence(IncidenceModel):
 
     def __init__(self, func: Callable[[np.ndarray], float], n: int, N: float,
                  grad: Optional[Callable[[np.ndarray], Sequence[float]]] = None):
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        self.n = int(n)
+        self.n = _count(n, "n")
         self.N = _population(N)
         self._func = func
         self._grad = grad

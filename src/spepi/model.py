@@ -18,12 +18,13 @@ keeps only what a parameter sweep reads (S_inf, the prevalence series Z
 and the monotonicity onset), so its memory grows with the steps, not
 with steps x n.  Every run steps through ``_kernels.run_chunk`` (a custom
 callable's stepper calls ``phi_fn``) in blocks of at most ``BLOCK_ROWS``
-rows on Python lists.  Each block becomes numpy arrays and is checked:
+rows on Python lists; a summary run keeps the first onset a call returns.
+Each block becomes numpy arrays, which ``_check_rows`` checks:
 :class:`DynamicsError` names the first step whose phi lies outside
-[0, 1), whose compartments are not finite and nonnegative, or whose
-S + Z + R drifts from N by more than ``CONSERVATION_TOL_REL * N``, the
-same step and cause in both kinds of run.  The blocks are joined once,
-at the end.
+[0, 1) (where the stepper ends a block), whose compartments are not
+finite and nonnegative, or whose S + Z + R drifts from N by more than
+``CONSERVATION_TOL_REL * N``, the same step and cause in both kinds of
+run.  The blocks are joined once, at the end.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .incidence import _EMPTY, DomainError, IncidenceModel, _as_vector, _population
+from .incidence import _EMPTY, DomainError, IncidenceModel, _as_vector, _count, _population
 
 __all__ = [
     "DynamicsError",
@@ -128,9 +129,9 @@ class EpidemicState:
 
 @dataclass(frozen=True)
 class StoppingRule:
-    """Stopping specification for ``simulate``.
-
-    ``eps_z``/``eps_s`` default to 1e-12 * N and 1e-14 * N when left None.
+    """Stopping specification for ``simulate``: ``max_steps`` a whole number
+    of at least 1, stored as an int, and ``eps_z``/``eps_s`` floats, which
+    default to 1e-12 * N and 1e-14 * N when left None.
     A run stops "converged" at the first step t >= 1 with
     ||I(t)||_1 < eps_z and S(t-1) - S(t) < eps_s, else at max_steps.
     """
@@ -139,14 +140,18 @@ class StoppingRule:
     eps_z: Optional[float] = None
     eps_s: Optional[float] = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "max_steps", _count(self.max_steps, "max_steps"))
+        for name in ("eps_z", "eps_s"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
+
     def resolve(self, N: float) -> tuple[int, float, float]:
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-        eps_z = DEFAULT_EPS_Z_REL * N if self.eps_z is None else float(self.eps_z)
-        eps_s = DEFAULT_EPS_S_REL * N if self.eps_s is None else float(self.eps_s)
+        eps_z = DEFAULT_EPS_Z_REL * N if self.eps_z is None else self.eps_z
+        eps_s = DEFAULT_EPS_S_REL * N if self.eps_s is None else self.eps_s
         if not (eps_z >= 0.0 and eps_s >= 0.0):  # NaN fails too
             raise ValueError(f"tolerances must be nonnegative, got {eps_z!r} and {eps_s!r}")
-        return int(self.max_steps), eps_z, eps_s
+        return self.max_steps, eps_z, eps_s
 
 
 @dataclass
@@ -244,26 +249,19 @@ def _row_fault(S, I, R, phi, Z, N) -> str:
             f"by more than {CONSERVATION_TOL_REL:g} N")
 
 
-def _rows_ok(S, R, phi, Z, N):
-    """Which rows pass the checks that read no stage: phi in [0, 1), S, R and
-    Z nonnegative and |S + Z + R - N| <= CONSERVATION_TOL_REL * N.  NaN fails
-    every comparison, and nonnegative S, Z and R with a finite sum are each
-    finite."""
-    drift = S + Z  # the one float temporary, reused in place
-    drift += R
-    drift -= N
-    return ((np.abs(drift, out=drift) <= CONSERVATION_TOL_REL * N) & (phi >= 0.0)
-            & (phi < 1.0) & (S >= 0.0) & (R >= 0.0) & (Z >= 0.0))
-
-
 def _check_rows(S, I, R, phi, Z, N, first_step) -> None:
     """Raise :class:`DynamicsError` at the first recorded row that is not admissible.
 
     A row is admissible when phi lies in [0, 1), every compartment is finite
-    and nonnegative, and |S + Z + R - N| <= CONSERVATION_TOL_REL * N.  With
-    I None only the checks of ``_rows_ok`` run.
+    and nonnegative, and |S + Z + R - N| <= CONSERVATION_TOL_REL * N.  NaN
+    fails every comparison, and nonnegative S, Z and R with a finite sum are
+    each finite.  With I None (a summary block) the stages go unchecked.
     """
-    ok = _rows_ok(S, R, phi, Z, N)
+    drift = S + Z  # the one float temporary, reused in place
+    drift += R
+    drift -= N
+    ok = ((np.abs(drift, out=drift) <= CONSERVATION_TOL_REL * N) & (phi >= 0.0)
+          & (phi < 1.0) & (S >= 0.0) & (R >= 0.0) & (Z >= 0.0))
     # the stages are reduced flat first: a reduction along each row of a
     # narrow (rows, n) block costs about ten times more
     if ok.all() and (I is None or (I.min() >= 0.0 and I.max() < math.inf)):
@@ -315,31 +313,28 @@ def _simulate_kernel(initial, gamma, N, spec, max_steps, eps_z, eps_s, phi_fn=No
     done = 0
     bufs = None
     onset = None
-    status = _kernels.FULL
-    while status == _kernels.FULL and done <= max_steps:
+    converged = False
+    while not converged and done <= max_steps:
         size = min(BLOCK_ROWS, max_steps + 1 - done)
         if bufs is None or len(bufs[0]) != size:
             bufs = _buffers(size, n, record)
         entry = None if record else (S, I.copy(), R, phi)
-        # a summary stepper returns one more value: the onset it found, or None
-        rows, status, S, R, phi, *found = _kernels.run_chunk(
-            S, I, R, phi, *fixed, *bufs, phi_fn, onset is None)
+        rows, converged, S, R, phi, found = _kernels.run_chunk(
+            S, I, R, phi, *fixed, *bufs, phi_fn)
         block = _arrays(bufs, rows, n)
-        if record:
-            _check_rows(*block, N, done)  # raises on an INVALID block's last row
-            blocks.append(block)
-        else:
-            if not _rows_ok(block[0], *block[2:], N).all():
-                # a stage may name the fault: step the block again with them kept
+        try:  # a block that ends on a phi outside [0, 1) fails here
+            _check_rows(*block, N, done)
+        except DynamicsError:
+            if not record:  # a stage may name the fault: step again with them kept
                 full = _buffers(size, n, True)
                 _kernels.run_chunk(*entry, *fixed, *full, phi_fn)
                 _check_rows(*_arrays(full, rows, n), N, done)
-                _check_rows(*block, N, done)  # reached only if phi_fn changed its values
-            blocks.append(block[4])
-            if onset is None and found[0] is not None:
-                onset = done + found[0]
+            raise
+        blocks.append(block if record else block[4])
+        if onset is None and found is not None:  # each call seeks from its entry
+            onset = done + found
         done += rows
-    reason = "converged" if status == _kernels.CONVERGED else "max-steps"
+    reason = "converged" if converged else "max-steps"
     if not record:
         return S, np.concatenate(blocks), onset, reason
     return (*(np.concatenate(column) for column in zip(*blocks)), reason)

@@ -200,6 +200,42 @@ def test_non_finite_inputs_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("inc", [
+    ExponentialIncidence([0.2, 0.5], N=1.0),
+    LinearIncidence([0.2, 0.5], N=1.0),
+    SplitExponentialIncidence([0.5, 0.5], [1.0, 2.0], N=1.0),
+    LastClassIncidence(n=2, N=1.0, kind="exponential", beta=2.0),
+    LastClassIncidence(n=2, N=1.0, kind="linear", beta=0.5),
+    LastClassIncidence(n=2, N=1.0, kind="custom", func=lambda x: 0.5 * x),
+    CustomIncidence(lambda I: 0.5 * I[-1], n=2, N=1.0),
+    compose_incidence(LinearIncidence([0.2, 0.5], N=1.0),
+                      ContactDistribution.explicit([0.5, 0.5])),
+    compose_incidence(LinearIncidence([0.2, 0.5], N=1.0), ContactDistribution.poisson(2.0)),
+], ids=lambda inc: inc.family)
+@pytest.mark.parametrize("I", [[NAN, 0.0], [0.0, NAN], [INF, 0.0], [0.0, -INF]])
+def test_a_non_finite_stage_is_outside_the_domain(inc, I):
+    # a NaN stage used to give grad [nan, nan] and phi "phi = nan lies
+    # outside [0, 1)"
+    for evaluate in (inc.phi, inc.grad):
+        with pytest.raises(DomainError, match="^infected vector has a non-finite component$"):
+            evaluate(I)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: LastClassIncidence(n=n, N=1.0, kind="exponential", beta=1.0),
+    lambda n: CustomIncidence(lambda I: 0.5 * I[-1], n=n, N=1.0),
+], ids=["last-class", "custom"])
+def test_stage_counts_must_be_whole_numbers(build):
+    # n = 2.7 and n = 1.9 used to build 2 and 1 stages
+    for n, message in ((2.7, "n must be a whole number, got 2.7"),
+                       (1.9, "n must be a whole number, got 1.9"),
+                       (NAN, "n must be a whole number, got nan"),
+                       (0, "n must be at least 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(n)
+    assert build(3.0).n == 3 and type(build(np.int64(3)).n) is int
+
+
 def test_last_class_profiles():
     inc = LastClassIncidence(n=3, N=1.0, kind="exponential", beta=2.0)
     np.testing.assert_array_equal(inc.r, [0.0, 0.0, 2.0])

@@ -1,5 +1,5 @@
 """The stepping kernel: every encoding against the model objects, chunk
-splicing, and the INVALID ending."""
+splicing, the six-value return and the ending at a phi outside [0, 1)."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from spepi import (
     LinearIncidence,
     SplitExponentialIncidence,
     compose_incidence,
+    monotonicity_onset,
     poisson_incidence,
     simulate,
 )
@@ -150,10 +151,10 @@ def test_chunk_resume_restarts_cleanly(inc, cap):
     chunks = []
     for _ in range(12 // cap):
         bufs = _buffers(cap, n)
-        rows, status, S, R, phi_entry = kernels.run_chunk(
+        rows, converged, S, R, phi_entry, _ = kernels.run_chunk(
             S, I, R, phi_entry, *_spec_lists(inc, params.gamma), 1e-12, 1e-14, *bufs
         )
-        assert rows == cap and status == kernels.FULL
+        assert rows == cap and not converged
         chunks.append(bufs)
     glued = [np.concatenate(c) for c in zip(*chunks)]
     ref = simulate(EpidemicState(S=N - I0.sum(), I=I0, R=0.0), params, inc,
@@ -171,12 +172,12 @@ def _drive(inc, params, I0, cap, eps_z):
     chunks = []
     while True:
         bufs = _buffers(cap, n)
-        rows, status, S, R, phi = kernels.run_chunk(
+        rows, converged, S, R, phi, _ = kernels.run_chunk(
             S, I, R, phi, *_spec_lists(inc, params.gamma), eps_z, 1.0, *bufs
         )
         S_b, I_b, R_b, phi_b, Z_b = bufs
         chunks.append((S_b[:rows], I_b[:rows * n], R_b[:rows], phi_b[:rows], Z_b[:rows]))
-        if status == kernels.CONVERGED:
+        if converged:
             return [np.concatenate(c) for c in zip(*chunks)], (S, R, phi, I)
         assert rows == cap
 
@@ -206,7 +207,41 @@ def test_a_phi_of_one_ends_the_chunk_invalid():
     # call records that row and stops there
     inc = ExponentialIncidence([60.0], N)
     bufs = _buffers(8, 1)
-    rows, status, S, R, phi = kernels.run_chunk(
+    rows, converged, S, R, phi, _ = kernels.run_chunk(
         0.99, [0.01], 0.0, -1.0, *_spec_lists(inc, [0.5]), 1e-12, 1e-14, *bufs)
-    assert (rows, status, phi) == (3, kernels.INVALID, 1.0)
+    assert (rows, converged, phi) == (3, False, 1.0)
     assert bufs[3][2] == 1.0 and 0.0 <= bufs[3][1] < 1.0
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+@pytest.mark.parametrize("inc", KERNEL_MODELS, ids=_encoding_id)
+def test_each_summary_call_seeks_the_onset_from_its_entry(inc, cap):
+    # both steppers return (rows, converged, S, R, phi, onset), the recording
+    # one with onset None; a summary call's onset counts from its own entry
+    # (-1: the entry row, recorded by the call before), and the first one
+    # found is monotonicity_onset's.  Stages 2..n start empty, so no step of
+    # the first call finds the onset.
+    n = inc.n
+    params = StageParams(gamma=np.linspace(0.5, 0.7, n), N=N)
+    I0 = np.zeros(n)
+    I0[0] = 0.02
+    traj = simulate(EpidemicState(S=N - 0.02, I=I0, R=0.0), params, inc, StoppingRule())
+    dec = np.all(traj.I[1:] < traj.I[:-1], axis=1)
+    spec = (*_spec_lists(inc, params.gamma), 1e-12, 1e-14)
+    result = kernels.run_chunk(N - 0.02, I0.tolist(), 0.0, -1.0, *spec, *_buffers(cap, n))
+    assert len(result) == 6 and result[5] is None
+    S, I, R, phi = N - 0.02, I0.tolist(), 0.0, -1.0
+    done, first, converged = 0, None, False
+    while not converged:
+        S_b, _, R_b, phi_b, Z_b = _buffers(cap, n)
+        result = kernels.run_chunk(S, I, R, phi, *spec, S_b, None, R_b, phi_b, Z_b)
+        assert len(result) == 6
+        rows, converged, S, R, phi, onset = result
+        # the call steps from row max(done - 1, 0) to row done + rows - 1
+        hits = np.flatnonzero(dec[max(done - 1, 0):done + rows - 1]) + max(done - 1, 0)
+        assert onset == (int(hits[0]) - done if hits.size else None), done
+        if first is None and onset is not None:
+            first = done + onset
+        done += rows
+    assert done == len(traj.S)
+    assert first == monotonicity_onset(traj).onset >= cap - 1

@@ -190,6 +190,28 @@ def test_round_trip_preserves_awkward_floats(tmp_path, figures):
     np.testing.assert_array_equal(back.incidence.beta, mutated.incidence.beta)
 
 
+def test_stopping_rules_given_as_numpy_or_integral_floats_round_trip(tmp_path, figures):
+    # each used to be saved as written by repr: "np.float64(1e-12)" and
+    # "1000.0" failed to load back
+    rule = StoppingRule(max_steps=1000.0, eps_z=np.float64(1e-12), eps_s=np.float32(0.5))
+    assert (type(rule.max_steps), type(rule.eps_z), type(rule.eps_s)) == (int, float, float)
+    sc = figures["fig2-left"]
+    back = _roundtrip(Scenario(label="rule", params=sc.params, incidence=sc.incidence,
+                               initial=sc.initial, stopping=rule), tmp_path)
+    assert back.stopping == rule == StoppingRule(max_steps=1000, eps_z=1e-12, eps_s=0.5)
+
+
+@pytest.mark.parametrize("max_steps, message", [
+    (0, "max_steps must be at least 1"), (-np.inf, "max_steps must be at least 1"),
+    (1.5, "max_steps must be a whole number, got 1.5"),
+    (np.nan, "max_steps must be a whole number, got nan"),
+    (np.inf, "max_steps must be a whole number, got inf")])
+def test_stopping_rules_reject_a_max_steps_that_is_not_a_count(max_steps, message):
+    # 1.5 used to run 1 step
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StoppingRule(max_steps=max_steps)
+
+
 def test_set_scenario_value_paths(figures):
     data = scenario_to_dict(figures["fig2-left"])
     set_scenario_value(data, "incidence.beta[1]", 0.5)

@@ -59,7 +59,9 @@ def _check_summary(initial, params, inc, stopping):
 
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# 10 examples per encoding; 100 under --hypothesis-profile=thorough
+@settings(max_examples=max(10, settings().max_examples // 50), deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.sampled_from([1, 2, 3, 5, 8, U, U + 1]),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from spepi import (
     LastClassIncidence,
     StageParams,
     StoppingRule,
+    Trajectory,
     classify_shape,
     initial_rise_predicate_general,
     is_rise_then_fall,
@@ -21,6 +25,12 @@ from spepi import (
     simulate,
     step,
     threshold_decay_predicate,
+    r0,
+)
+from spepi.prevalence import (
+    FLAT_STEP_TOL_REL,
+    PrevalenceShape,
+    ThresholdDecayResult,
 )
 
 from conftest import random_initial, random_lastclass_model, random_model
@@ -251,3 +261,124 @@ def test_is_rise_then_fall():
     assert not is_rise_then_fall([1.0, 2.0, 3.0])          # no fall
     assert not is_rise_then_fall([1.0, 2.0, 1.5, 1.7, 0.5])  # wiggle after peak
     assert not is_rise_then_fall([2.0, 1.0, 3.0, 0.5])     # dip first
+
+
+# Loop forms of the three series scans, kept as references for their
+# array versions: each result, field for field and type for type, must
+# equal what these give.
+
+def _classify_shape_loop(Z):
+    Z = np.asarray(Z, dtype=float)
+    initial_rise = bool(Z.size > 1 and Z[1] > Z[0])
+    vals = [float(Z[0])]
+    starts = [0]
+    for t in range(1, Z.size):
+        z = float(Z[t])
+        if z != vals[-1]:
+            vals.append(z)
+            starts.append(t)
+    peaks = []
+    m = len(vals)
+    for k in range(m):
+        left_ok = k == 0 or vals[k] > vals[k - 1]
+        right_ok = k == m - 1 or vals[k] > vals[k + 1]
+        if m > 1 and left_ok and right_ok:
+            peaks.append(starts[k])
+    if m == 1 or all(vals[k] > vals[k + 1] for k in range(m - 1)):
+        classification = "monotone-decreasing"
+        if m > 1:
+            peaks = []
+    elif len(peaks) >= 2:
+        classification = "multi-peak"
+    else:
+        classification = "single-peak"
+    return PrevalenceShape(classification, tuple(peaks), initial_rise)
+
+
+def _is_rise_then_fall_loop(Z):
+    Z = np.asarray(Z, dtype=float)
+    if Z.size < 3:
+        return False
+    d = np.diff(Z)
+    if not d[0] > 0.0:
+        return False
+    p = 0
+    while p < d.size and d[p] > 0.0:
+        p += 1
+    return bool(np.all(d[p:] < 0.0)) and p < d.size
+
+
+def _threshold_decay_loop(trajectory):
+    threshold = trajectory.params.N / r0(trajectory.params, trajectory.incidence)
+    below = np.nonzero(trajectory.S < threshold)[0]
+    if below.size == 0:
+        return ThresholdDecayResult(holds_from=None, verified=True, first_violation=None)
+    t_star = int(below[0])
+    Z = trajectory.Z
+    In = trajectory.I[:, -1]
+    flat_tol = FLAT_STEP_TOL_REL * trajectory.params.N
+    for t in range(t_star, trajectory.n_steps):
+        if In[t] > 0.0:
+            ok = Z[t + 1] < Z[t]
+        else:
+            ok = abs(Z[t + 1] - Z[t]) <= flat_tol
+        if not ok:
+            return ThresholdDecayResult(holds_from=t_star, verified=False, first_violation=t)
+    return ThresholdDecayResult(holds_from=t_star, verified=True, first_violation=None)
+
+
+def _typed(x):
+    """A value with the type of every part of it, for exact comparison."""
+    if dataclasses.is_dataclass(x):
+        return [(f.name, _typed(getattr(x, f.name))) for f in dataclasses.fields(x)]
+    if isinstance(x, tuple):
+        return tuple(_typed(v) for v in x)
+    return type(x), x
+
+
+# small pools, so that plateaus, ties and -0.0 come up often
+_SHAPE_POOL = [0.0, -0.0, 1.0, 2.0, 2.5, 3.0, math.nan, math.inf, -math.inf]
+_FINITE_POOL = [0.0, -0.0, 1.0, 1.5, 2.0, 3.0]
+
+
+@given(st.lists(st.sampled_from(_SHAPE_POOL), min_size=1, max_size=24))
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+def test_classify_shape_matches_its_loop_form(Z):
+    assert _typed(classify_shape(Z)) == _typed(_classify_shape_loop(Z))
+    assert _typed(classify_shape(np.array(Z))) == _typed(_classify_shape_loop(Z))
+
+
+@given(st.lists(st.sampled_from(_FINITE_POOL), min_size=0, max_size=24))
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+def test_is_rise_then_fall_matches_its_loop_form(Z):
+    assert _typed(is_rise_then_fall(Z)) == _typed(_is_rise_then_fall_loop(Z))
+
+
+@given(
+    st.sampled_from([0.5, 1.0, 4.0]),
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.25, 0.5, 1.0, 2.0]),  # S(t) over N/R0
+            st.sampled_from([0.0, -0.0, 0.01]),  # I_n(t) over N
+            # Z(t) over N: steps of 0, +-1e-13 and exactly the flat tolerance
+            st.sampled_from([0.0, FLAT_STEP_TOL_REL, 2 * FLAT_STEP_TOL_REL,
+                             0.5 - 1e-13, 0.5, 0.5 + 1e-13, 0.6]),
+        ),
+        min_size=1, max_size=24,
+    ),
+)
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+def test_threshold_decay_predicate_matches_its_loop_form(N, rows):
+    params = StageParams(gamma=[0.5, 0.25], N=N)
+    inc = LastClassIncidence(n=2, N=N, kind="exponential", beta=2.0 / N)
+    threshold = N / r0(params, inc)
+    S = np.array([s for s, _, _ in rows]) * threshold
+    I = np.zeros((len(rows), 2))
+    I[:, -1] = [i * N for _, i, _ in rows]
+    Z = np.array([z * N for _, _, z in rows])
+    traj = Trajectory(
+        params=params, incidence=inc, S=S, I=I, R=N - S - Z, phi=np.zeros(len(rows)),
+        Z=Z, stop_reason="max-steps", eps_z=0.0, eps_s=0.0, max_steps=len(rows),
+    )
+    got = threshold_decay_predicate(traj)
+    assert _typed(got) == _typed(_threshold_decay_loop(traj))

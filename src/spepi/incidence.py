@@ -441,10 +441,18 @@ class RegularityReport:
 
 
 def _simplex_grid(n: int, N: float, density: int) -> np.ndarray:
-    """Axis-aligned grid over {I >= 0 : ||I||_1 <= N}, density points per axis."""
-    axes = [np.linspace(0.0, N, density)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    """Axis-aligned grid over {I >= 0 : ||I||_1 <= N}, density points per axis.
+
+    Only index tuples with sum below ``density`` can land in the simplex,
+    so only those are built, in the full grid's lexicographic order: each
+    row is extended by every index that still fits.
+    """
+    idx = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(n):
+        room = density - idx.sum(axis=1)
+        offset = np.repeat(np.cumsum(room) - room, room)
+        idx = np.column_stack([np.repeat(idx, room, axis=0), np.arange(offset.size) - offset])
+    pts = np.linspace(0.0, N, density)[idx]
     return pts[pts.sum(axis=1) <= N * (1.0 + 1e-15)]
 
 

@@ -131,19 +131,15 @@ def threshold_decay_predicate(
     if below.size == 0:
         return ThresholdDecayResult(holds_from=None, verified=True, first_violation=None)
     t_star = int(below[0])
-    Z = trajectory.Z
-    In = trajectory.I[:, -1]
+    Z = trajectory.Z[t_star:]
     flat_tol = FLAT_STEP_TOL_REL * trajectory.params.N
-    for t in range(t_star, trajectory.n_steps):
-        if In[t] > 0.0:
-            ok = Z[t + 1] < Z[t]
-        else:
-            ok = abs(Z[t + 1] - Z[t]) <= flat_tol
-        if not ok:
-            return ThresholdDecayResult(
-                holds_from=t_star, verified=False, first_violation=t
-            )
-    return ThresholdDecayResult(holds_from=t_star, verified=True, first_violation=None)
+    ok = np.where(trajectory.I[t_star:-1, -1] > 0.0,
+                  Z[1:] < Z[:-1], np.abs(Z[1:] - Z[:-1]) <= flat_tol)
+    bad = np.flatnonzero(~ok)
+    return ThresholdDecayResult(
+        holds_from=t_star, verified=not bad.size,
+        first_violation=t_star + int(bad[0]) if bad.size else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -244,29 +240,16 @@ def classify_shape(Z) -> PrevalenceShape:
     if Z.ndim != 1 or Z.size == 0:
         raise ValueError("Z must be a nonempty 1-d series")
     initial_rise = bool(Z.size > 1 and Z[1] > Z[0])
-    # collapse plateau runs, remembering each run's first index
-    vals = [float(Z[0])]
-    starts = [0]
-    for t in range(1, Z.size):
-        z = float(Z[t])
-        if z != vals[-1]:
-            vals.append(z)
-            starts.append(t)
-    peaks = []
-    m = len(vals)
-    for k in range(m):
-        left_ok = k == 0 or vals[k] > vals[k - 1]
-        right_ok = k == m - 1 or vals[k] > vals[k + 1]
-        if m > 1 and left_ok and right_ok:
-            peaks.append(starts[k])
-    if m == 1 or all(vals[k] > vals[k + 1] for k in range(m - 1)):
-        classification = "monotone-decreasing"
-        if m > 1:
-            peaks = []  # the left endpoint is not a peak of a pure decay
-    elif len(peaks) >= 2:
-        classification = "multi-peak"
+    # collapse plateau runs to their first index; NaN never joins a run
+    starts = np.flatnonzero(np.r_[True, Z[1:] != Z[:-1]])
+    vals = Z[starts]
+    rises = vals[1:] > vals[:-1]
+    falls = vals[:-1] > vals[1:]
+    if falls.all():  # a single run included; a pure decay has no peak
+        classification, peaks = "monotone-decreasing", []
     else:
-        classification = "single-peak"
+        peaks = starts[np.r_[True, rises] & np.r_[falls, True]].tolist()
+        classification = "multi-peak" if len(peaks) >= 2 else "single-peak"
     return PrevalenceShape(
         classification=classification,
         peak_times=tuple(peaks),
@@ -280,13 +263,6 @@ def is_rise_then_fall(Z) -> bool:
     This is the textbook single-stage epidemic profile (for an
     above-threshold start); the staged model can break it in several ways.
     """
-    Z = np.asarray(Z, dtype=float)
-    if Z.size < 3:
-        return False
-    d = np.diff(Z)
-    if not d[0] > 0.0:
-        return False
-    p = 0
-    while p < d.size and d[p] > 0.0:
-        p += 1
-    return bool(np.all(d[p:] < 0.0)) and p < d.size
+    d = np.diff(np.asarray(Z, dtype=float))
+    p = int(np.argmin(np.r_[d > 0.0, False]))  # first step that does not rise
+    return 0 < p < d.size and bool(np.all(d[p:] < 0.0))

@@ -345,7 +345,6 @@ _FINITE_POOL = [0.0, -0.0, 1.0, 1.5, 2.0, 3.0]
 @settings(max_examples=max(200, settings().max_examples), deadline=None)
 def test_classify_shape_matches_its_loop_form(Z):
     assert _typed(classify_shape(Z)) == _typed(_classify_shape_loop(Z))
-    assert _typed(classify_shape(np.array(Z))) == _typed(_classify_shape_loop(Z))
 
 
 @given(st.lists(st.sampled_from(_FINITE_POOL), min_size=0, max_size=24))

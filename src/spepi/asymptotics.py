@@ -73,6 +73,7 @@ def final_size_bounds(
     The upper bound N/R0 needs R0 > 1.  The lower bound additionally
     needs R0 < 1 and every initial infected in the first stage.
     """
+    initial.validate_against(params)
     R0 = r0(params, incidence)
     N = params.N
     dlt = delta(params, incidence)

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .incidence import IncidenceModel, LastClassIncidence
-from .model import EpidemicState, StageParams, Trajectory
+from .model import EpidemicState, StageParams, Trajectory, _check_compatible
 from .spectral import r0
 
 __all__ = [
@@ -70,6 +70,7 @@ def initial_rise_predicate_general(
     Applicable when some stage i < n has r_i > 0 and I_i(0) > 0; then the
     prevalence rises in one step exactly when I_n(0) < c.
     """
+    _check_compatible(params, incidence)
     initial.validate_against(params)
     n = params.n
     r = incidence.r

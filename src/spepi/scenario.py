@@ -38,7 +38,7 @@ validation.  Errors name the offending ``section.key``.
 from __future__ import annotations
 
 import configparser
-import io
+import re
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
@@ -138,19 +138,19 @@ def _check_known(names, known, what: str) -> None:
         raise ScenarioError(f"{what} {', '.join(unknown)}; known: {', '.join(known)}")
 
 
-def _parse_section(data: dict, section: str, keys=None) -> dict:
-    """``data[section]`` parsed by its (key, parser) pairs, by default those
-    in ``_SECTIONS``; an unknown key raises, as does a missing one unless
-    the section is optional ([scenario] and [stopping])."""
-    items, keys = data.get(section, {}), keys or _SECTIONS[section]
+def _parse_section(data: dict, section: str) -> dict:
+    """``data[section]`` parsed by its (key, parser) pairs; an unknown key
+    raises, as does a missing one unless the section is optional."""
+    items = data.get(section, {})
+    keys = _SECTIONS[section] or _incidence_keys(items)
     _check_known(items, [key for key, _ in keys], f"{section}: unknown key(s)")
     return {key: parse(_get(items, key, section), f"{section}.{key}") for key, parse in keys
-            if key in items or section not in ("scenario", "stopping")}
+            if key in items or section not in _OPTIONAL}
 
 
 # The plain INI families: name -> (constructor taking N and the keys by
-# keyword, (key, parser) pairs in file order).  Parsing and serialization
-# both read this table; the model attribute of each key is its name.
+# keyword, (key, parser) pairs in file order).  Parsing, serialization and
+# sweep paths read this table; the model attribute of each key is its name.
 _LAST_CLASS_KEYS = (("n", _parse_int), ("beta", _parse_float))
 _FAMILIES = {
     "exponential": (ExponentialIncidence, (("beta", _parse_floats),)),
@@ -164,7 +164,9 @@ _FAMILIES = {
 # The contact laws: family -> the (key, parser) pair of the law's parameter;
 # the inner family's keys take the prefix pi_
 _LAWS = {"contact-composed": ("contact_p", _parse_floats), "poisson-composed": ("lambda", _parse_float)}
-# Each section's (key, parser) pairs; [incidence]'s follow its family
+# Each section's (key, parser) pairs in file order; [incidence]'s follow its
+# family.  Parsing, serialization and sweep paths all read this table; the
+# model attribute of each key is its name.
 _SECTIONS = {
     "scenario": (("label", _parse_text),),
     "params": (("gamma", _parse_floats), ("N", _parse_float)),
@@ -172,6 +174,9 @@ _SECTIONS = {
     "initial": (("S", _parse_float), ("I", _parse_floats), ("R", _parse_float)),
     "stopping": (("max_steps", _parse_int), ("eps_z", _parse_float), ("eps_s", _parse_float)),
 }
+_OPTIONAL = ("scenario", "stopping")  # the sections a file may leave out
+# a sweep path: section.key, or section.key[i] for an entry of a number list
+_SWEEP_PATH = re.compile(r"(\w+)\.(\w+)(?:\[(\d+)\])?")
 
 
 def _incidence_keys(spec: dict) -> tuple:
@@ -186,7 +191,7 @@ def _incidence_keys(spec: dict) -> tuple:
 
 
 def _build_incidence(data: dict, N: float) -> IncidenceModel:
-    values = _parse_section(data, "incidence", _incidence_keys(data["incidence"]))
+    values = _parse_section(data, "incidence")
     family = values["family"]
     prefix = "pi_" if family in _LAWS else ""
     build, keys = _FAMILIES[values[prefix + "family"]]
@@ -208,8 +213,8 @@ def scenario_from_dict(data: dict, built: Optional[dict] = None) -> Scenario:
     across sections run every time.
     """
     _check_known(data, list(_SECTIONS), "unknown section(s)")
-    for section in ("params", "incidence", "initial"):
-        if section not in data:
+    for section in _SECTIONS:
+        if section not in data and section not in _OPTIONAL:
             raise ScenarioError(f"{section}: required section is missing")
     label = _parse_section(data, "scenario").get("label", "")
 
@@ -253,50 +258,43 @@ def scenario_from_dict(data: dict, built: Optional[dict] = None) -> Scenario:
     )
 
 
+def _entries(owner, keys) -> dict:
+    """Each key's string read off ``owner``'s attribute of that name; a None
+    value is left out."""
+    values = ((key, getattr(owner, key)) for key, _ in keys)
+    return {key: _fmt(value) for key, value in values if value is not None}
+
+
 def _incidence_to_dict(model: IncidenceModel) -> dict:
     if isinstance(model, ComposedIncidence):
         if isinstance(model.pi_model, ComposedIncidence):
             raise ScenarioError("nested contact compositions cannot be serialized")
-        out = {"family": model.family}
-        out.update({f"pi_{k}": v for k, v in _incidence_to_dict(model.pi_model).items()})
-        if model.dist.kind == "poisson":
-            out["lambda"] = repr(model.dist.lam)
-        else:
-            out["contact_p"] = _fmt(model.dist.p)
-        return out
+        pi = {f"pi_{k}": v for k, v in _incidence_to_dict(model.pi_model).items()}
+        law = model.dist.lam if model.dist.kind == "poisson" else model.dist.p
+        return {"family": model.family, **pi, _LAWS[model.family][0]: _fmt(law)}
     family = model.family
     if isinstance(model, LastClassIncidence):
         family = f"{family}-{model.kind}"
     if family not in _FAMILIES:
         raise ScenarioError(f"incidence family {family!r} cannot be serialized")
-    out = {"family": family}
-    out.update({key: _fmt(getattr(model, key)) for key, _ in _FAMILIES[family][1]})
-    return out
+    return {"family": family, **_entries(model, _FAMILIES[family][1])}
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Nested string dict mirroring the file schema (lossless for floats)."""
-    data = {
-        "scenario": {"label": scenario.label},
-        "params": {"gamma": _fmt(scenario.params.gamma), "N": repr(scenario.params.N)},
-        "incidence": _incidence_to_dict(scenario.incidence),
-        "initial": {
-            "S": repr(scenario.initial.S),
-            "I": _fmt(scenario.initial.I),
-            "R": repr(scenario.initial.R),
-        },
-        "stopping": {"max_steps": str(scenario.stopping.max_steps)},
-    }
-    if scenario.stopping.eps_z is not None:
-        data["stopping"]["eps_z"] = repr(scenario.stopping.eps_z)
-    if scenario.stopping.eps_s is not None:
-        data["stopping"]["eps_s"] = repr(scenario.stopping.eps_s)
-    return data
+    # [scenario]'s one key is the Scenario's own label
+    return {section: _entries(getattr(scenario, section, scenario), keys) if keys
+            else _incidence_to_dict(scenario.incidence) for section, keys in _SECTIONS.items()}
+
+
+def _ini_parser() -> configparser.ConfigParser:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys are case-sensitive (N vs n)
+    return parser
 
 
 def _parse_ini(text: str, source: str) -> dict:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keys are case-sensitive (N vs n)
+    parser = _ini_parser()
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
@@ -313,56 +311,43 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Write a scenario file that loads back to an identical setup."""
-    data = scenario_to_dict(scenario)
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    for section, items in data.items():
-        parser[section] = {k: str(v) for k, v in items.items()}
-    buf = io.StringIO()
-    parser.write(buf)
+    parser = _ini_parser()
+    parser.read_dict(scenario_to_dict(scenario))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+        parser.write(fh)
 
 
 def set_scenario_value(data: dict, path: str, value: float) -> None:
     """Assign one numeric scenario entry by path, e.g. ``incidence.beta[2]``.
 
+    A path is ``section.key`` or, for a number list, ``section.key[i]``.
     Operates on the string dict from :func:`scenario_to_dict`; rebuild
     through :func:`scenario_from_dict` to re-validate.
     """
-    try:
-        section_key, _, rest = path.partition(".")
-        if not rest:
-            raise ValueError("path needs the form section.key or section.key[i]")
-        index = None
-        key = rest
-        if rest.endswith("]"):
-            key, _, idx_text = rest[:-1].partition("[")
-            index = int(idx_text)
-    except ValueError as exc:
-        raise ScenarioError(f"sweep path {path!r}: {exc}") from exc
-    if section_key not in data or key not in data[section_key]:
-        raise ScenarioError(f"sweep path {path!r}: no such scenario entry")
-    keys = (_incidence_keys(data[section_key]) if section_key == "incidence"
-            else _SECTIONS.get(section_key) or ())
-    parse = dict(keys).get(key, _parse_text)
+    where, match = f"sweep path {path!r}", _SWEEP_PATH.fullmatch(path)
+    if match is None:
+        raise ScenarioError(f"{where}: path needs the form section.key or section.key[i]")
+    section, key, index = match.groups()
+    entries = data.get(section, {})
+    if section not in _SECTIONS or key not in entries:
+        raise ScenarioError(f"{where}: no such scenario entry")
+    parse = dict(_SECTIONS[section] or _incidence_keys(entries)).get(key, _parse_text)
     if parse is _parse_text:
-        raise ScenarioError(f"sweep path {path!r}: {section_key}.{key} is not numeric")
-    if index is None and parse is _parse_int:
-        if not float(value).is_integer():
-            raise ScenarioError(f"sweep path {path!r}: {key} takes integers, got {value!r}")
-        data[section_key][key] = str(int(value))
-        return
-    if index is None:
-        data[section_key][key] = repr(float(value))
-        return
-    items = _parse_floats(data[section_key][key], path)
-    if not 0 <= index < len(items):
-        raise ScenarioError(
-            f"sweep path {path!r}: index {index} out of range (length {len(items)})"
-        )
-    items[index] = float(value)
-    data[section_key][key] = ", ".join(repr(v) for v in items)
+        raise ScenarioError(f"{where}: {section}.{key} is not numeric")
+    value = float(value)
+    if index is not None:
+        if parse is not _parse_floats:
+            raise ScenarioError(f"{where}: {section}.{key} is not a list")
+        items = _parse_floats(entries[key], path)
+        if int(index) >= len(items):
+            raise ScenarioError(f"{where}: index {index} out of range (length {len(items)})")
+        items[int(index)] = value
+        value = items
+    elif parse is _parse_int:
+        if not value.is_integer():
+            raise ScenarioError(f"{where}: {key} takes integers, got {value!r}")
+        value = int(value)
+    entries[key] = _fmt(value)
 
 
 def figure_scenario(name: str) -> Scenario:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .incidence import IncidenceModel
-from .model import StageParams
+from .model import StageParams, _check_compatible
 
 __all__ = [
     "StageMatrixDecomposition",
@@ -101,8 +101,7 @@ def nrv(decomp: StageMatrixDecomposition) -> float:
 
 def delta(params: StageParams, incidence: IncidenceModel) -> float:
     """delta = sum_j r_j / gamma_j, the per-capita threshold quantity."""
-    if incidence.n != params.n:
-        raise ValueError("incidence and params disagree on the stage count")
+    _check_compatible(params, incidence)
     return float((incidence.r / params.gamma).sum())
 
 

@@ -289,6 +289,17 @@ def test_limit_direction_fig2_left_deep_run(figures):
             assert I_star[i] / I_star[j] == pytest.approx(v[i] / v[j], rel=1e-5)
 
 
+def test_final_size_analyses_check_their_inputs_as_simulate_does():
+    # each pair below used to get a result back; simulate rejects it
+    params = StageParams(gamma=[0.5, 0.5, 0.5], N=1.0)
+    inc = ExponentialIncidence([0.5, 0.5, 0.5], N=1.0)
+    with pytest.raises(ValueError, match="^state has 2 infected stages, params expect 3$"):
+        final_size_bounds(EpidemicState(S=0.5, I=[0.01, 0.0], R=0.0), params, inc)
+    initial = EpidemicState(S=0.99, I=[0.01, 0.0, 0.0], R=0.0)
+    with pytest.raises(ValueError, match="population N = 5.0 differs from params N = 1.0"):
+        final_size_equation_solve(initial, params, ExponentialIncidence([0.5, 0.5, 0.5], N=5.0))
+
+
 def test_limit_direction_too_short():
     params = StageParams(gamma=[0.4, 0.5, 0.6], N=1.0)
     inc = ExponentialIncidence([0.3, 0.3, 0.3], N=1.0)

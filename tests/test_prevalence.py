@@ -142,6 +142,14 @@ def test_threshold_decay_needs_lastclass_structure(figures):
         threshold_decay_predicate(traj)
 
 
+def test_rise_predicate_names_a_stage_count_mismatch():
+    # it used to fail inside phi: "infected vector has shape (3,), expected (2,)"
+    params = StageParams(gamma=[0.5, 0.5, 0.5], N=1.0)
+    initial = EpidemicState(S=0.99, I=[0.01, 0.0, 0.0], R=0.0)
+    with pytest.raises(ValueError, match="^incidence is built for 2 stages, params have 3$"):
+        initial_rise_predicate_general(initial, params, ExponentialIncidence([0.5, 0.5], N=1.0))
+
+
 def test_outbreak_lastclass_sir_rise():
     N = 1.0
     params = StageParams(gamma=[0.5], N=N)

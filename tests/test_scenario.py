@@ -327,6 +327,17 @@ def test_sweep_paths_name_numeric_entries(figures):
         set_scenario_value(composed, "incidence.pi_family", 1.0)
 
 
+@pytest.mark.parametrize("path", ["params.N[0]", "stopping.max_steps[0]", "initial.S[1]"])
+def test_sweep_paths_index_only_number_lists(figures, path):
+    # params.N[0] used to set N; stopping.max_steps[0] failed on "100.0"
+    data = scenario_to_dict(figures["fig2-left"])
+    entry = path.partition("[")[0]
+    with pytest.raises(ScenarioError, match=rf"^sweep path '{re.escape(path)}': "
+                                            rf"{re.escape(entry)} is not a list$"):
+        set_scenario_value(data, path, 100.0)
+    assert data == scenario_to_dict(figures["fig2-left"])
+
+
 def test_sweep_writes_integer_entries_as_integers(figures):
     data = scenario_to_dict(figures["fig2-left"])
     set_scenario_value(data, "stopping.max_steps", 100.0)

@@ -33,7 +33,13 @@ from spepi import (
     poisson_incidence,
     save_scenario,
 )
-from spepi.scenario import FIGURE_SCENARIO_NAMES, load_scenario, scenario_to_dict
+from spepi.scenario import (
+    _FAMILIES,
+    _LAWS,
+    FIGURE_SCENARIO_NAMES,
+    load_scenario,
+    scenario_to_dict,
+)
 
 PINNED_PATH = Path(__file__).with_name("scenario_files.json")
 
@@ -83,6 +89,7 @@ def _expected() -> dict:
 
 
 def test_pinned_names_cover_the_figures_and_every_family():
+    assert sorted(_INCIDENCES) == sorted((*_FAMILIES, *_LAWS))
     assert sorted(_expected()) == sorted((*FIGURE_SCENARIO_NAMES, *_INCIDENCES))
 
 

@@ -11,6 +11,7 @@ from spepi import (
     ExponentialIncidence,
     StageParams,
     build_B,
+    delta,
     nrv,
     perron,
     r0,
@@ -64,6 +65,15 @@ def test_build_B_rejections():
         build_B(1.0, params, [0.0])
     with pytest.raises(ValueError):
         build_B(1.0, params, [-0.1])
+
+
+def test_delta_rejects_an_incidence_built_for_other_params():
+    # the population used to go unchecked: r0 came back for any N
+    params = StageParams(gamma=[0.5, 0.5], N=1.0)
+    with pytest.raises(ValueError, match="population N = 5.0 differs from params N = 1.0"):
+        delta(params, ExponentialIncidence([0.5, 0.5], N=5.0))
+    with pytest.raises(ValueError, match="^incidence is built for 3 stages, params have 2$"):
+        r0(params, ExponentialIncidence([0.5, 0.5, 0.5], N=1.0))
 
 
 def test_nrv_hand_values(figures):

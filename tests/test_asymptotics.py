@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spepi import (
     ContactDistribution,
@@ -18,6 +20,7 @@ from spepi import (
     SplitExponentialIncidence,
     StageParams,
     StoppingRule,
+    Trajectory,
     compose_incidence,
     final_size_bounds,
     final_size_equation_solve,
@@ -29,6 +32,7 @@ from spepi import (
     simulate,
     tail_sum_check,
 )
+from spepi.asymptotics import MonotonicityReport, TailSumReport
 
 from conftest import random_initial, random_model
 
@@ -325,7 +329,7 @@ def test_monotonicity_absent_for_zero_seed():
     inc = ExponentialIncidence([0.4], N=1.0)
     traj = simulate(EpidemicState(S=1.0, I=[0.0], R=0.0), params, inc)
     rep = monotonicity_onset(traj)
-    assert rep.onset is None
+    assert rep == MonotonicityReport(onset=None, persistent=True, first_violation=None)
 
 
 def test_random_scenarios_oracle_agreement_and_persistence():
@@ -341,3 +345,52 @@ def test_random_scenarios_oracle_agreement_and_persistence():
         rep = monotonicity_onset(traj)
         if rep.onset is not None:
             assert rep.persistent
+
+
+def _tail_sum_loop(trajectory, t0):
+    """The stage-by-stage form of ``tail_sum_check``: the reference for its
+    array expressions, bit for bit (the cumulative sum starts at 0.0, so a
+    -0.0 stage adds as +0.0)."""
+    gamma = trajectory.params.gamma
+    n = trajectory.params.n
+    s_inf = trajectory.S_inf
+    lhs, rhs, rel = np.empty(n), np.empty(n), np.empty(n)
+    cum = 0.0
+    for j, column in enumerate(trajectory.I[t0:].T.tolist()):
+        lhs[j] = math.fsum(column)
+        cum += column[0]
+        rhs[j] = (trajectory.S[t0] - s_inf + cum) / gamma[j]
+        denom = max(abs(rhs[j]), 1e-300)
+        rel[j] = abs(lhs[j] - rhs[j]) / denom
+    return TailSumReport(t0=t0, lhs=lhs, rhs=rhs, rel_errors=rel)
+
+
+# small pools, so that -0.0, exact cancellations and subnormals come up often
+_STAGE_POOL = [0.0, -0.0, 5e-324, 1e-310, 1e-300, 0.125, 0.25, 1.0, 3.0]
+_S_POOL = [0.0, -0.0, 5e-324, 0.25, 0.5, 1.0]
+
+
+@given(
+    gamma=st.lists(st.sampled_from([0.125, 0.5, 0.75, 0.9]), min_size=1, max_size=4),
+    rows=st.lists(st.tuples(st.sampled_from(_S_POOL),
+                            st.lists(st.sampled_from(_STAGE_POOL), min_size=4, max_size=4)),
+                  min_size=1, max_size=6),
+    t0=st.integers(0, 5),
+)
+# S(t0) - S_inf = -0.0 - 0.0 and a -0.0 first stage: the loop's sum gives +0.0
+@example(gamma=[0.5, 0.5], rows=[(-0.0, [-0.0] * 4), (0.0, [0.0] * 4)], t0=0)
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+def test_tail_sum_check_matches_its_loop_form(gamma, rows, t0):
+    n, t0 = len(gamma), t0 % len(rows)
+    S = np.array([s for s, _ in rows])
+    I = np.array([stages[:n] for _, stages in rows])
+    traj = Trajectory(
+        params=StageParams(gamma=gamma, N=1.0), incidence=ExponentialIncidence([1.0] * n, 1.0),
+        S=S, I=I, R=np.zeros(len(rows)), phi=np.zeros(len(rows)), Z=I.sum(axis=1),
+        stop_reason="converged", eps_z=0.0, eps_s=0.0, max_steps=len(rows),
+    )
+    got, want = tail_sum_check(traj, t0), _tail_sum_loop(traj, t0)
+    assert got.t0 == want.t0
+    for name in ("lhs", "rhs", "rel_errors"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name

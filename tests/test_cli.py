@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spepi import ExponentialIncidence, StageParams, cli, simulate
+from spepi import ExponentialIncidence, RegularityReport, StageParams, cli, simulate
 from spepi.cli import _figure_verdict, main
 from spepi.model import Trajectory
 from spepi.scenario import FIGURE_SCENARIO_NAMES
@@ -374,6 +374,54 @@ def test_validate_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "passed = True" in out
     assert "analytic = True" in out
+
+
+@pytest.mark.parametrize("label, source, verdict", [
+    ("fig2-left", "fig2-left", (True, "R0 = 0.952381 < 1; Z rises at t = 0")),
+    ("fig2-left", "fig3-bottom", (False, "R0 = 1.011111 !< 1; Z rises at t = 1")),
+    ("fig3-top-right", "fig3-top-right", (True, "R0 = 1.555556 > 1; Z(1) > Z(0)")),
+    ("fig3-top-right", "fig2-left", (False, "R0 = 0.952381 !> 1; Z(1) > Z(0)")),
+])
+def test_figure_verdict_names_each_r0_relation(figures, label, source, verdict):
+    # ``label``'s claim checked on ``source``'s run: each of >, !>, < and !<
+    scenario = figures[source]
+    traj = simulate(scenario.initial, scenario.params, scenario.incidence,
+                    scenario.stopping)
+    passed, reason = _figure_verdict(label, scenario, traj)
+    assert (type(passed), passed, reason) == (bool, *verdict)
+
+
+_ANALYTIC_REPORT = """\
+family = exponential
+analytic = True
+range_ok = True
+zero_ok = True
+gradient_ok = True
+r_last_ok = True
+concave_ok = True
+points_checked = 0
+passed = True
+"""
+
+
+@pytest.mark.parametrize("name", FIGURE_SCENARIO_NAMES)
+def test_validate_stdout_of_the_bundled_figures(capsys, name):
+    assert main(["validate", "--scenario", name]) == 0
+    assert capsys.readouterr().out == _ANALYTIC_REPORT
+
+
+def test_validate_prints_each_failure_and_exits_2(capsys, monkeypatch):
+    report = RegularityReport(
+        family="custom", analytic=False, range_ok=False, zero_ok=True, gradient_ok=True,
+        r_last_ok=False, concave_ok=True, points_checked=45,
+        failures=["phi([1.0]) = 1 outside [0, 1)", "r_n = 0: last stage not infectious"])
+    monkeypatch.setattr(cli, "validate_regularity", lambda incidence: report)
+    assert main(["validate", "--scenario", "fig2-left"]) == 2
+    assert capsys.readouterr().out == (
+        "family = custom\nanalytic = False\nrange_ok = False\nzero_ok = True\n"
+        "gradient_ok = True\nr_last_ok = False\nconcave_ok = True\npoints_checked = 45\n"
+        "passed = False\nfailure: phi([1.0]) = 1 outside [0, 1)\n"
+        "failure: r_n = 0: last stage not infectious\n")
 
 
 def test_bad_scenario_exit_code(tmp_path, capsys):

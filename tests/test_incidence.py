@@ -23,6 +23,7 @@ from spepi import (
     compose_incidence,
     validate_regularity,
 )
+from spepi._kernels import inner_phi
 from spepi.incidence import IncidenceModel, _simplex_grid
 from spepi.model import StoppingRule
 
@@ -244,6 +245,29 @@ def test_last_class_profiles():
     assert inc.phi([0.0, 0.0, 0.1]) == pytest.approx(-math.expm1(-0.2), rel=1e-15)
     lin = LastClassIncidence(n=2, N=1.0, kind="linear", beta=0.8)
     assert lin.scalar_deriv(0.3) == 0.8
+
+
+# stage values: zeros of both signs, subnormals, the least normal and a few plain
+_LAST_CLASS_STAGES = [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.125, 0.5]
+
+
+@given(
+    st.sampled_from(["linear", "exponential"]),
+    st.sampled_from([2.0, 4.0]),
+    st.sampled_from([1e-300, 0.5, 1.0]),  # beta * N
+    st.lists(st.sampled_from(_LAST_CLASS_STAGES), min_size=1, max_size=4),
+)
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+def test_last_class_phi_matches_its_n_stage_encoding(kind, N, scale, I):
+    # the built-in profile of I_n against the kernel's phi over all n stages,
+    # whose other entries are zeros: bit for bit, signed zeros included
+    inc = LastClassIncidence(n=len(I), N=N, kind=kind, beta=scale / N)
+    ik, v1, v2, _, _ = inc.kernel_spec()
+    want = float(inner_phi(I, ik, v1.tolist(), v2.tolist())).hex()
+    I = np.array(I)
+    assert float(inc._phi_raw(I)).hex() == want
+    assert float(inc.scalar_phi(float(I[-1]))).hex() == want
+    assert (float(inc.phi(I)).hex() == want) if I.any() else inc.phi(I) == 0.0
 
 
 def test_custom_incidence_finite_difference_gradient():

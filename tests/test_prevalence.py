@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from spepi import (
     threshold_decay_predicate,
     r0,
 )
+import spepi.prevalence as prevalence
 from spepi.prevalence import (
     FLAT_STEP_TOL_REL,
+    RATIO_SLACK_REL,
     PrevalenceShape,
     ThresholdDecayResult,
 )
@@ -389,3 +392,51 @@ def test_threshold_decay_predicate_matches_its_loop_form(N, rows):
     )
     got = threshold_decay_predicate(traj)
     assert _typed(got) == _typed(_threshold_decay_loop(traj))
+
+
+def _ratio_check_loop(incidence):
+    """The point-by-point form of ``monotone_decay_ratio_check`` for a custom
+    profile: the reference for its bound array."""
+    rn = float(incidence.r[-1])
+    points = prevalence.RATIO_GRID_POINTS
+    for x in np.linspace(incidence.N / points, incidence.N, points):
+        bound = rn * x / (1.0 + rn * x)
+        if incidence.scalar_phi(float(x)) < bound * (1.0 - RATIO_SLACK_REL) - 1e-300:
+            return False
+    return True
+
+
+_RATIO_POINTS = 16  # a short grid keeps the thorough profile fast
+
+
+@given(
+    st.sampled_from([0.5, 1.0, 4.0]),
+    st.sampled_from([0.5, 1.0, 3.0]),
+    # the profile at each grid point, against the slackened bound there
+    st.lists(st.sampled_from(["above", "at", "below", "nan", "zero", "one"]),
+             min_size=_RATIO_POINTS, max_size=_RATIO_POINTS),
+)
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+def test_monotone_decay_ratio_check_matches_its_loop_form(N, rn, kinds):
+    xs = np.linspace(N / _RATIO_POINTS, N, _RATIO_POINTS).tolist()
+    values = {}
+    for x, kind in zip(xs, kinds):
+        at = rn * x / (1.0 + rn * x) * (1.0 - RATIO_SLACK_REL) - 1e-300
+        values[x] = {"above": math.nextafter(at, math.inf), "at": at,
+                     "below": math.nextafter(at, -math.inf), "nan": math.nan,
+                     "zero": 0.0, "one": 1.0}[kind]
+    calls = []
+
+    def profile(x):
+        calls.append(x)
+        return values.get(x, 0.0)
+
+    inc = LastClassIncidence(n=2, N=N, kind="custom", func=profile, deriv=lambda x: rn)
+    with mock.patch.object(prevalence, "RATIO_GRID_POINTS", _RATIO_POINTS):
+        del calls[:]
+        got, got_calls = monotone_decay_ratio_check(inc), list(calls)
+        del calls[:]
+        want = _ratio_check_loop(inc)
+    # the same verdict from the same calls: the scan stops at the first value
+    # below the bound, and NaN is never below it
+    assert (type(got), got, got_calls) == (bool, want, calls)

@@ -136,6 +136,27 @@ def test_zero_seed_summary_is_one_row():
     assert traj.n_steps == 0
 
 
+@pytest.mark.parametrize("stopping", [None, StoppingRule(max_steps=5, eps_z=0.0, eps_s=0.0)])
+def test_zero_seed_runs_are_one_converged_row(stopping):
+    # the dynamics are the identity at I = 0: one row, converged whatever the
+    # tolerances, the stages kept as given, -0.0 included
+    params = StageParams(gamma=[0.5, 0.5], N=1.0)
+    inc = ExponentialIncidence([0.5, 0.5], N=1.0)
+    initial = EpidemicState(S=0.75, I=[0.0, -0.0], R=0.25)
+    run = simulate_summary(initial, params, inc, stopping)
+    assert (type(run.S_inf), run.S_inf, run.onset, run.stop_reason, run.n_steps) == (
+        float, 0.75, None, "converged", 0)
+    assert (run.Z.dtype, run.Z.tobytes()) == (np.float64, np.zeros(1).tobytes())
+    traj = simulate(initial, params, inc, stopping)
+    assert (traj.stop_reason, traj.n_steps) == ("converged", 0)
+    expected = {"S": [0.75], "I": [[0.0, -0.0]], "R": [0.25], "phi": [0.0], "Z": [0.0]}
+    for name, rows in expected.items():
+        got = getattr(traj, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (
+            np.float64, np.shape(rows), np.array(rows).tobytes()), name
+        assert got.flags.writeable, name
+
+
 def _nan_at_step_9(figures):
     """fig2-left with a custom phi that returns NaN at the state of step 9."""
     sc = figures["fig2-left"]

@@ -85,7 +85,7 @@ def final_size_bounds(
     lower = None
     if R0 >= 1.0:
         lower_reason = "requires R0 < 1"
-    elif params.n > 1 and initial.I[1:].any():
+    elif initial.I[1:].any():
         lower_reason = "requires all initial infected in the first stage"
     else:
         I0 = float(initial.I[0])
@@ -189,20 +189,12 @@ def tail_sum_check(trajectory: Trajectory, t0: int = 0) -> TailSumReport:
         raise ValueError("tail sums need a converged trajectory")
     if not 0 <= t0 <= trajectory.n_steps:
         raise ValueError(f"t0 = {t0} outside the recorded range")
-    gamma = trajectory.params.gamma
-    n = trajectory.params.n
-    s_inf = trajectory.S_inf
-    lhs = np.empty(n)
-    rhs = np.empty(n)
-    rel = np.empty(n)
-    cum = 0.0
+    I = trajectory.I[t0:]
     # math.fsum sums Python floats about twice as fast as numpy scalars
-    for j, column in enumerate(trajectory.I[t0:].T.tolist()):
-        lhs[j] = math.fsum(column)
-        cum += column[0]
-        rhs[j] = (trajectory.S[t0] - s_inf + cum) / gamma[j]
-        denom = max(abs(rhs[j]), 1e-300)
-        rel[j] = abs(lhs[j] - rhs[j]) / denom
+    lhs = np.array([math.fsum(column) for column in I.T.tolist()])
+    # + 0.0: the stages summed from 0.0, as a loop would, never give -0.0
+    rhs = (trajectory.S[t0] - trajectory.S_inf + np.cumsum(I[0]) + 0.0) / trajectory.params.gamma
+    rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     return TailSumReport(t0=t0, lhs=lhs, rhs=rhs, rel_errors=rel)
 
 
@@ -268,15 +260,11 @@ def monotonicity_onset(trajectory: Trajectory) -> MonotonicityReport:
     decreasing".
     """
     I = trajectory.I
-    if len(I) < 2:
-        return MonotonicityReport(onset=None, persistent=True, first_violation=None)
     dec = np.all(I[1:] < I[:-1], axis=1)
     idx = np.nonzero(dec)[0]
     if idx.size == 0:
         return MonotonicityReport(onset=None, persistent=True, first_violation=None)
     onset = int(idx[0])
-    later = dec[onset:]
-    if bool(later.all()):
-        return MonotonicityReport(onset=onset, persistent=True, first_violation=None)
-    first_bad = onset + int(np.nonzero(~later)[0][0])
-    return MonotonicityReport(onset=onset, persistent=False, first_violation=first_bad)
+    bad = np.flatnonzero(~dec[onset:])
+    return MonotonicityReport(onset=onset, persistent=not bad.size,
+                              first_violation=onset + int(bad[0]) if bad.size else None)

@@ -306,12 +306,8 @@ def _figure_verdict(label: str, scenario: Scenario, traj: Trajectory):
         raise ValueError(f"figure {label!r}: no recorded claim to check")
     supercritical, shape_claim = FIGURE_CLAIMS[label]
     R0 = spectral.r0(scenario.params, scenario.incidence)
-    if supercritical:
-        r0_ok = R0 > 1.0
-        relation = ">" if r0_ok else "!>"
-    else:
-        r0_ok = R0 < 1.0
-        relation = "<" if r0_ok else "!<"
+    r0_ok = R0 > 1.0 if supercritical else R0 < 1.0
+    relation = ("" if r0_ok else "!") + (">" if supercritical else "<")
     shape_ok, shape_text = shape_claim(traj.Z)
     return r0_ok and shape_ok, f"R0 = {R0:.6f} {relation} 1; {shape_text}"
 
@@ -339,15 +335,9 @@ def cmd_reproduce_figures(args) -> int:
 def cmd_validate(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     report = validate_regularity(scenario.incidence)
-    print(f"family = {report.family}")
-    print(f"analytic = {report.analytic}")
-    print(f"range_ok = {report.range_ok}")
-    print(f"zero_ok = {report.zero_ok}")
-    print(f"gradient_ok = {report.gradient_ok}")
-    print(f"r_last_ok = {report.r_last_ok}")
-    print(f"concave_ok = {report.concave_ok}")
-    print(f"points_checked = {report.points_checked}")
-    print(f"passed = {report.passed}")
+    for name in ("family", "analytic", "range_ok", "zero_ok", "gradient_ok", "r_last_ok",
+                 "concave_ok", "points_checked", "passed"):
+        print(f"{name} = {getattr(report, name)}")
     for failure in report.failures:
         print(f"failure: {failure}")
     return EXIT_OK if report.passed else EXIT_VERDICT

@@ -340,16 +340,11 @@ class LastClassIncidence(IncidenceModel):
             return float(_inner_grad((x,), self._encoding[0], np.array([self.beta]), _EMPTY)[0])
         if self._deriv is not None:
             return float(self._deriv(x))
-        return self._fd_deriv(x)
-
-    def _fd_deriv(self, x: float) -> float:
-        h = 1e-6 * self.N
-        return _fd_slope(lambda s: self._func(x + s), h, self.N - x, x)
+        return _fd_slope(lambda s: self._func(x + s), 1e-6 * self.N, self.N - x, x)
 
     def _phi_raw(self, I):
-        if self._encoding is None:  # the custom profile
-            return self.scalar_phi(float(I[-1]))
-        return super()._phi_raw(I)
+        # the encoding's other entries are zeros: f(I_n) has the same bits
+        return self.scalar_phi(float(I[-1]))
 
     def _grad_raw(self, I):
         g = np.zeros(self.n)

@@ -353,13 +353,17 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s, recor
 
 
 def _run(initial, params, incidence, stopping, record):
-    """Check the inputs, then step through ``_simulate_kernel``; None when no
-    one is infected (the dynamics are the identity there)."""
+    """Check the inputs; the limits and the run as ``_simulate_kernel`` returns
+    it for ``record``, one converged row for an all-zero start (the dynamics
+    are the identity there) whatever the tolerances."""
     _check_compatible(params, incidence)
     initial.validate_against(params)
     limits = (stopping or StoppingRule()).resolve(params.N)
     if initial.Z == 0.0:
-        return limits, None
+        if not record:
+            return limits, (initial.S, np.zeros(1), None, "converged")
+        return limits, (np.array([initial.S]), initial.I.reshape(1, -1).copy(),
+                        np.array([initial.R]), np.zeros(1), np.zeros(1), "converged")
     spec = incidence.kernel_spec()
     if spec is not None:
         return limits, _simulate_kernel(initial, params.gamma, params.N, spec, *limits,
@@ -387,12 +391,8 @@ def simulate(
         vector short-circuits to a single-row trajectory (the dynamics are
         the identity there).
     """
-    (max_steps, eps_z, eps_s), run = _run(initial, params, incidence, stopping, True)
-    if run is None:
-        S, I, R = np.array([initial.S]), initial.I.reshape(1, -1).copy(), np.array([initial.R])
-        phi, Z, reason = np.array([0.0]), np.array([0.0]), "converged"
-    else:
-        S, I, R, phi, Z, reason = run
+    (max_steps, eps_z, eps_s), (S, I, R, phi, Z, reason) = _run(
+        initial, params, incidence, stopping, True)
     return Trajectory(
         params=params, incidence=incidence,
         S=S, I=I, R=R, phi=phi, Z=Z,
@@ -412,9 +412,5 @@ def simulate_summary(
     same checks: it raises the :class:`DynamicsError` ``simulate`` raises.
     It records no stage rows, so its memory grows with the steps alone.
     """
-    _, run = _run(initial, params, incidence, stopping, False)
-    if run is None:
-        return RunSummary(S_inf=initial.S, Z=np.array([0.0]), onset=None,
-                          stop_reason="converged", n_steps=0)
-    S_inf, Z, onset, reason = run
+    _, (S_inf, Z, onset, reason) = _run(initial, params, incidence, stopping, False)
     return RunSummary(S_inf=S_inf, Z=Z, onset=onset, stop_reason=reason, n_steps=len(Z) - 1)

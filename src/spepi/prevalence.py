@@ -186,12 +186,11 @@ def outbreak_predicate_lastclass(
     rise = one_step_gain(float(initial.I[-1])) > 0.0
     witness = None
     x = float(initial.I[-1])
-    if x > 0.0:
-        while x > 0.0:
-            if one_step_gain(x) > 0.0:
-                witness = x
-                break
-            x *= 0.5
+    while x > 0.0:
+        if one_step_gain(x) > 0.0:
+            witness = x
+            break
+        x *= 0.5
     return LastClassOutbreakResult(rise_predicted=bool(rise), eta_witness=witness)
 
 
@@ -208,11 +207,9 @@ def monotone_decay_ratio_check(incidence: LastClassIncidence) -> bool:
         return True
     rn = float(incidence.r[-1])
     xs = np.linspace(incidence.N / RATIO_GRID_POINTS, incidence.N, RATIO_GRID_POINTS)
-    for x in xs:
-        bound = rn * x / (1.0 + rn * x)
-        if incidence.scalar_phi(float(x)) < bound * (1.0 - RATIO_SLACK_REL) - 1e-300:
-            return False
-    return True
+    bounds = rn * xs / (1.0 + rn * xs) * (1.0 - RATIO_SLACK_REL) - 1e-300
+    # the profile is called in order up to the first value below; NaN never is
+    return not any(incidence.scalar_phi(x) < b for x, b in zip(xs.tolist(), bounds.tolist()))
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,8 @@ def save_scenario(scenario: Scenario, path) -> None:
 def set_scenario_value(data: dict, path: str, value: float) -> None:
     """Assign one numeric scenario entry by path, e.g. ``incidence.beta[2]``.
 
-    A path is ``section.key`` or, for a number list, ``section.key[i]``.
+    A path is ``section.key``, or ``section.key[i]`` for an entry of a number
+    list.  Any key of the schema can be set, one the data leaves out too.
     Operates on the string dict from :func:`scenario_to_dict`; rebuild
     through :func:`scenario_from_dict` to re-validate.
     """
@@ -329,16 +330,18 @@ def set_scenario_value(data: dict, path: str, value: float) -> None:
         raise ScenarioError(f"{where}: path needs the form section.key or section.key[i]")
     section, key, index = match.groups()
     entries = data.get(section, {})
-    if section not in _SECTIONS or key not in entries:
+    kinds = dict(_SECTIONS[section] or _incidence_keys(entries)) if section in _SECTIONS else {}
+    if key not in kinds:
         raise ScenarioError(f"{where}: no such scenario entry")
-    parse = dict(_SECTIONS[section] or _incidence_keys(entries)).get(key, _parse_text)
+    parse = kinds[key]
     if parse is _parse_text:
         raise ScenarioError(f"{where}: {section}.{key} is not numeric")
     value = float(value)
+    if (index is None) == (parse is _parse_floats):  # an index goes with a list only
+        raise ScenarioError(f"{where}: {section}.{key} " + ("is not a list" if index else
+                            f"is a list; name one entry, as in {section}.{key}[0]"))
     if index is not None:
-        if parse is not _parse_floats:
-            raise ScenarioError(f"{where}: {section}.{key} is not a list")
-        items = _parse_floats(entries[key], path)
+        items = _parse_floats(_get(entries, key, section), path)
         if int(index) >= len(items):
             raise ScenarioError(f"{where}: index {index} out of range (length {len(items)})")
         items[int(index)] = value
@@ -347,7 +350,7 @@ def set_scenario_value(data: dict, path: str, value: float) -> None:
         if not value.is_integer():
             raise ScenarioError(f"{where}: {key} takes integers, got {value!r}")
         value = int(value)
-    entries[key] = _fmt(value)
+    data.setdefault(section, entries)[key] = _fmt(value)
 
 
 def figure_scenario(name: str) -> Scenario:

@@ -139,7 +139,10 @@ def perron(decomp: StageMatrixDecomposition) -> PerronData:
         return v
 
     def below(lam):
-        return sum(x * y for x, y in zip(ar, shape(lam))) <= lam - d[0]
+        total = 0.0  # summed in order: the builtin sum compensates from Python 3.12
+        for x, y in zip(ar, shape(lam)):
+            total += x * y
+        return total <= lam - d[0]
 
     rho, halvings = _bisect(below, max(d), 1.0 + max(ar))
     v = np.array(shape(rho))

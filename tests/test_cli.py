@@ -7,7 +7,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spepi import ExponentialIncidence, RegularityReport, StageParams, cli, simulate
+from spepi import (
+    ExponentialIncidence,
+    RegularityReport,
+    StageParams,
+    StoppingRule,
+    cli,
+    simulate,
+    simulate_summary,
+)
 from spepi.cli import _figure_verdict, main
 from spepi.model import Trajectory
 from spepi.scenario import FIGURE_SCENARIO_NAMES
@@ -306,6 +314,31 @@ def test_sweep_over_max_steps(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == ["100", "200"]
     assert rows[0][2] != rows[1][2]  # S_inf moves with the cap
+
+
+@pytest.mark.parametrize("param", ["params.gamma", "initial.I", "incidence.beta"])
+def test_sweep_rejects_a_whole_list_entry(tmp_path, capsys, param):
+    # params.gamma used to exit 1 from [incidence]: "built for 3 stages but
+    # params.gamma has 1"
+    assert main(["sweep", "--scenario", "fig2-left", "--out", str(tmp_path / "x.csv"),
+                 "--param", param, "--grid", "0.5"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sweep path '{param}': {param} is a list; name one entry, as in {param}[0]\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_sets_a_tolerance_the_scenario_leaves_out(figures, tmp_path):
+    # with eps_s = 1 the prevalence cutoff alone stops each run
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--scenario", "fig2-left", "--out", str(out), "--eps-s", "1",
+                 "--param", "stopping.eps_z", "--grid", "1e-3,1e-10"]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    sc = figures["fig2-left"]
+    for row, eps_z in zip(rows, (1e-3, 1e-10), strict=True):
+        rule = StoppingRule(eps_z=eps_z, eps_s=1.0)
+        run = simulate_summary(sc.initial, sc.params, sc.incidence, rule)
+        assert row[2] == f"{run.S_inf:.17g}"
+    assert rows[0][2] != rows[1][2]
 
 
 def test_sweep_deterministic(tmp_path):

@@ -338,6 +338,34 @@ def test_sweep_paths_index_only_number_lists(figures, path):
     assert data == scenario_to_dict(figures["fig2-left"])
 
 
+@pytest.mark.parametrize("path", ["params.gamma", "initial.I", "incidence.beta"])
+def test_sweep_paths_name_one_entry_of_a_list(figures, path):
+    # params.gamma used to be written as one float over the list, and the
+    # rebuild then failed in [incidence]: "built for 3 stages"
+    data = scenario_to_dict(figures["fig2-left"])
+    entry = re.escape(path)
+    with pytest.raises(ScenarioError, match=rf"^sweep path '{entry}': {entry} is a list; "
+                                            rf"name one entry, as in {entry}\[0\]$"):
+        set_scenario_value(data, path, 0.5)
+    assert data == scenario_to_dict(figures["fig2-left"])
+
+
+def test_sweep_paths_set_entries_the_data_leaves_out(figures):
+    # fig2-left leaves its tolerances out; they used to be "no such scenario entry"
+    base = scenario_to_dict(figures["fig2-left"])
+    data = {section: dict(entries) for section, entries in base.items()}
+    set_scenario_value(data, "stopping.eps_z", 1e-10)
+    assert data["stopping"] == {**base["stopping"], "eps_z": "1e-10"}
+    assert scenario_from_dict(data).stopping.eps_z == 1e-10
+    del data["stopping"]
+    set_scenario_value(data, "stopping.eps_s", 1e-9)
+    assert data["stopping"] == {"eps_s": "1e-09"}
+    # keys of no section, and of another incidence family, stay unknown
+    for path in ("stopping.eps_q", "incidence.theta[0]", "incidence.lambda", "nothing.here"):
+        with pytest.raises(ScenarioError, match="no such scenario entry"):
+            set_scenario_value(data, path, 1.0)
+
+
 def test_sweep_writes_integer_entries_as_integers(figures):
     data = scenario_to_dict(figures["fig2-left"])
     set_scenario_value(data, "stopping.max_steps", 100.0)

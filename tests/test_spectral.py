@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import math
 
 import numpy as np
@@ -182,6 +183,29 @@ def _draw_decomposition(rng, threshold=False):
         a = s / dlt
     a = min(a, 9.99)
     return build_B(a, params, r), dlt
+
+
+def _compensated_sum(iterable, start=0):
+    """What the builtin sum does with floats from Python 3.12 on: Neumaier's
+    compensated sum, its correction added when finite."""
+    total, comp = float(start), 0.0
+    for x in iterable:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_perron_does_not_depend_on_the_builtin_sum(monkeypatch):
+    # analyze prints perron_rho and perron_vector, and CI runs Python 3.10-3.13
+    rng = np.random.default_rng(12)
+    draws = [_draw_decomposition(rng)[0] for _ in range(300)]
+    plain = [perron(d) for d in draws]
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    for d, want in zip(draws, plain):
+        got = perron(d)
+        assert (got.rho.hex(), got.v.tobytes(), got.iterations) == (
+            want.rho.hex(), want.v.tobytes(), want.iterations)
 
 
 def test_nrv_closed_form_over_random_draws():

@@ -192,7 +192,7 @@ def tail_sum_check(trajectory: Trajectory, t0: int = 0) -> TailSumReport:
     I = trajectory.I[t0:]
     # math.fsum sums Python floats about twice as fast as numpy scalars
     lhs = np.array([math.fsum(column) for column in I.T.tolist()])
-    # + 0.0: the stages summed from 0.0, as a loop would, never give -0.0
+    # + 0.0 turns a -0.0 into 0.0, as a sum of the stages started at 0.0 does
     rhs = (trajectory.S[t0] - trajectory.S_inf + np.cumsum(I[0]) + 0.0) / trajectory.params.gamma
     rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     return TailSumReport(t0=t0, lhs=lhs, rhs=rhs, rel_errors=rel)

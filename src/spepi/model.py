@@ -353,9 +353,9 @@ def _simulate_generic(initial, params, incidence, max_steps, eps_z, eps_s, recor
 
 
 def _run(initial, params, incidence, stopping, record):
-    """Check the inputs; the limits and the run as ``_simulate_kernel`` returns
-    it for ``record``, one converged row for an all-zero start (the dynamics
-    are the identity there) whatever the tolerances."""
+    """Check the inputs and run: (max_steps, eps_z, eps_s) and the run in
+    ``_simulate_kernel``'s shape for ``record``.  An all-zero start is one
+    converged row whatever the tolerances: the dynamics are the identity."""
     _check_compatible(params, incidence)
     initial.validate_against(params)
     limits = (stopping or StoppingRule()).resolve(params.N)

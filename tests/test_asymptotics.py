@@ -347,6 +347,45 @@ def test_random_scenarios_oracle_agreement_and_persistence():
             assert rep.persistent
 
 
+def _monotonicity_onset_by_cases(I):
+    """``monotonicity_onset`` with a return for each case: one row, no onset,
+    a persistent onset and a broken one; the reference for its one scan."""
+    if len(I) < 2:
+        return MonotonicityReport(onset=None, persistent=True, first_violation=None)
+    dec = np.all(I[1:] < I[:-1], axis=1)
+    idx = np.nonzero(dec)[0]
+    if idx.size == 0:
+        return MonotonicityReport(onset=None, persistent=True, first_violation=None)
+    onset = int(idx[0])
+    later = dec[onset:]
+    if bool(later.all()):
+        return MonotonicityReport(onset=onset, persistent=True, first_violation=None)
+    first_bad = onset + int(np.nonzero(~later)[0][0])
+    return MonotonicityReport(onset=onset, persistent=False, first_violation=first_bad)
+
+
+@given(
+    n=st.integers(1, 3),
+    # ties, -0.0 and NaN come up often in a small pool
+    values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, math.nan]), min_size=1,
+                    max_size=24),
+)
+@example(n=2, values=[3.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 0.0, 0.0, -0.0])  # onset 0, breaks at 2
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+def test_monotonicity_onset_matches_its_form_by_cases(n, values):
+    rows = len(values) // n or 1
+    I = np.resize(np.array(values), rows * n).reshape(rows, n)
+    traj = Trajectory(
+        params=StageParams(gamma=[0.5] * n, N=1.0), incidence=ExponentialIncidence([1.0] * n, 1.0),
+        S=np.ones(rows), I=I, R=np.zeros(rows), phi=np.zeros(rows), Z=I.sum(axis=1),
+        stop_reason="converged", eps_z=0.0, eps_s=0.0, max_steps=rows,
+    )
+    got, want = monotonicity_onset(traj), _monotonicity_onset_by_cases(I)
+    assert got == want
+    assert [type(getattr(got, f)) for f in ("onset", "persistent", "first_violation")] == [
+        type(getattr(want, f)) for f in ("onset", "persistent", "first_violation")]
+
+
 def _tail_sum_loop(trajectory, t0):
     """The stage-by-stage form of ``tail_sum_check``: the reference for its
     array expressions, bit for bit (the cumulative sum starts at 0.0, so a

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import asymptotics, prevalence, spectral
 from .incidence import LastClassIncidence, validate_regularity
-from .model import StoppingRule, Trajectory, simulate, simulate_summary
+from .model import Trajectory, simulate, simulate_summary
 from .scenario import (
     FIGURE_SCENARIO_NAMES,
     Scenario,
@@ -58,13 +58,22 @@ def _resolve_scenario(ref: str) -> Scenario:
     raise ScenarioError(f"scenario {ref!r}: no such file or bundled scenario name")
 
 
-def _apply_stopping_overrides(scenario: Scenario, args) -> StoppingRule:
-    stop = scenario.stopping
-    return StoppingRule(
-        max_steps=args.max_steps if args.max_steps is not None else stop.max_steps,
-        eps_z=args.eps_z if args.eps_z is not None else stop.eps_z,
-        eps_s=args.eps_s if args.eps_s is not None else stop.eps_s,
-    )
+def _stopping_flags(args) -> dict:
+    """Each stopping flag given, keyed by the [stopping] entry it overwrites."""
+    keys = ("max_steps", "eps_z", "eps_s")
+    return {f"stopping.{key}": getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _flagged_scenario(args) -> Scenario:
+    """``args.scenario`` with each stopping flag given written into its [stopping] entry."""
+    scenario = _resolve_scenario(args.scenario)
+    flags = _stopping_flags(args)
+    if not flags:  # the scenario is built once
+        return scenario
+    data = scenario_to_dict(scenario)
+    for path, value in flags.items():
+        set_scenario_value(data, path, value)
+    return scenario_from_dict(data)
 
 
 # rows formatted per block.  The formatter's numpy temporaries peak near 85
@@ -102,9 +111,8 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _resolve_scenario(args.scenario)
-    stopping = _apply_stopping_overrides(scenario, args)
-    traj = simulate(scenario.initial, scenario.params, scenario.incidence, stopping)
+    scenario = _flagged_scenario(args)
+    traj = simulate(scenario.initial, scenario.params, scenario.incidence, scenario.stopping)
     _write_trajectory_csv(traj, Path(args.out))
     print(f"wrote {args.out}: {traj.n_steps} steps, stop_reason = {traj.stop_reason}, "
           f"S_inf_estimate = {_g17(traj.S_inf)}")
@@ -114,7 +122,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _analyze_lines(scenario: Scenario, stopping: StoppingRule):
+def _analyze_lines(scenario: Scenario):
     params, incidence, initial = scenario.params, scenario.incidence, scenario.initial
     lines = []
     put = lines.append
@@ -140,7 +148,7 @@ def _analyze_lines(scenario: Scenario, stopping: StoppingRule):
     else:
         put(("S_inf_equation", _g17(eq.s_inf)))
 
-    traj = simulate(initial, params, incidence, stopping)
+    traj = simulate(initial, params, incidence, scenario.stopping)
     put(("stop_reason", traj.stop_reason))
     put(("steps", str(traj.n_steps)))
     put(("S_inf_simulated", _g17(traj.S_inf) if traj.stop_reason == "converged"
@@ -200,9 +208,7 @@ def _analyze_lines(scenario: Scenario, stopping: StoppingRule):
 
 
 def cmd_analyze(args) -> int:
-    scenario = _resolve_scenario(args.scenario)
-    stopping = _apply_stopping_overrides(scenario, args)
-    for key, value in _analyze_lines(scenario, stopping):
+    for key, value in _analyze_lines(_flagged_scenario(args)):
         print(f"{key} = {value}")
     return EXIT_OK
 
@@ -225,31 +231,27 @@ def _parse_grid(text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    base = _resolve_scenario(args.scenario)
+    base_data = scenario_to_dict(_resolve_scenario(args.scenario))
     grid = _parse_grid(args.grid)
-    base_data = scenario_to_dict(base)
+    for path, value in _stopping_flags(args).items():
+        if path == args.param:
+            flag = "--" + path.removeprefix("stopping.").replace("_", "-")
+            raise ScenarioError(f"--param {path} and {flag} both set {path}; give one")
+        set_scenario_value(base_data, path, value)
     built = {}  # the sections the swept entry leaves alone are built once
     rows = []
     for value in grid:
         data = {section: dict(entries) for section, entries in base_data.items()}
         set_scenario_value(data, args.param, value)
         scenario = scenario_from_dict(data, built)
-        stopping = _apply_stopping_overrides(scenario, args)
-        run = simulate_summary(scenario.initial, scenario.params, scenario.incidence, stopping)
-        rows.append((
-            value,
-            spectral.r0(scenario.params, scenario.incidence),
-            run.S_inf,
-            float(run.Z.max()),
-            int(run.Z.argmax()),
-            run.onset,
-        ))
+        run = simulate_summary(scenario.initial, scenario.params, scenario.incidence, scenario.stopping)
+        R0 = spectral.r0(scenario.params, scenario.incidence)
+        onset = "" if run.onset is None else str(run.onset)
+        rows.append(f"{_g17(value)},{_g17(R0)},{_g17(run.S_inf)},"
+                    f"{_g17(float(run.Z.max()))},{int(run.Z.argmax())},{onset}\n")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("value,R0,S_inf,peak_Z,peak_time,onset_t0\n")
-        for value, R0, s_inf, peak_z, peak_t, onset in rows:
-            onset_text = "" if onset is None else str(onset)
-            fh.write(f"{_g17(value)},{_g17(R0)},{_g17(s_inf)},"
-                     f"{_g17(peak_z)},{peak_t},{onset_text}\n")
+        fh.writelines(rows)
     print(f"wrote {args.out}: {len(rows)} grid points over {args.param}")
     return EXIT_OK
 

@@ -95,9 +95,7 @@ class ContactDistribution:
         it ends on a geometric bound on the rest and is normalised by its
         own sum, as it is above, where it grows from the mode both ways.
         """
-        lam = float(lam)
-        if not 0.0 < lam < math.inf:
-            raise ValueError("the Poisson mean must be positive and finite")
+        lam = cls.poisson(lam).lam  # poisson's check of the mean
         if not 0.0 < tail_mass < 1.0:
             raise ValueError(f"tail_mass must lie in (0, 1), got {tail_mass!r}")
         if math.exp(-lam) >= np.finfo(float).tiny:
@@ -153,13 +151,10 @@ class ComposedIncidence(IncidenceModel):
             self.family, self._ok, self._op = "contact-composed", 1, dist.p
         self.n = pi_model.n
         self.N = pi_model.N
-        try:
-            self._finalize(dist.mean * pi_model.r)
-        except ValueError as exc:
-            raise ValueError(
-                f"composition is not a valid incidence: {exc} "
-                "(a contact distribution with zero mean infects nobody)"
-            ) from exc
+        if dist.mean == 0.0:
+            raise ValueError("composition is not a valid incidence: "
+                             "a contact distribution with zero mean infects nobody")
+        self._finalize(dist.mean * pi_model.r)
 
     @property
     def analytic(self) -> bool:

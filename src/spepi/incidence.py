@@ -93,6 +93,14 @@ def _population(N) -> float:
     return N
 
 
+def _infectivities(beta, n: Optional[int] = None) -> np.ndarray:
+    """``beta`` as ``_as_vector`` gives it, checked to be nonnegative with beta_n > 0."""
+    beta = _as_vector(beta, "beta", n)
+    if np.any(beta < 0.0) or not beta[-1] > 0.0:
+        raise ValueError("beta must be nonnegative with beta_n > 0")
+    return beta
+
+
 def _count(value, name: str) -> int:
     """``value`` as an int, checked to be a whole number of at least 1."""
     if value < 1:
@@ -226,11 +234,9 @@ class ExponentialIncidence(IncidenceModel):
     family = "exponential"
 
     def __init__(self, beta, N: float):
-        self.beta = _as_vector(beta, "beta")
+        self.beta = _infectivities(beta)
         self.n = self.beta.size
         self.N = _population(N)
-        if np.any(self.beta < 0.0) or not self.beta[-1] > 0.0:
-            raise ValueError("beta must be nonnegative with beta_n > 0")
         self._encoding = (1, self.beta, _EMPTY)
         self._finalize()
 
@@ -241,11 +247,9 @@ class LinearIncidence(IncidenceModel):
     family = "linear"
 
     def __init__(self, beta, N: float):
-        self.beta = _as_vector(beta, "beta")
+        self.beta = _infectivities(beta)
         self.n = self.beta.size
         self.N = _population(N)
-        if np.any(self.beta < 0.0) or not self.beta[-1] > 0.0:
-            raise ValueError("beta must be nonnegative with beta_n > 0")
         if self.beta.sum() > 1.0 / self.N:
             raise ValueError(
                 f"sum(beta) = {self.beta.sum():.17g} exceeds 1/N = {1.0 / self.N:.17g}; "
@@ -266,15 +270,13 @@ class SplitExponentialIncidence(IncidenceModel):
 
     def __init__(self, theta, beta, N: float):
         self.theta = _as_vector(theta, "theta")
-        self.beta = _as_vector(beta, "beta", self.theta.size)
+        self.beta = _infectivities(beta, self.theta.size)
         self.n = self.beta.size
         self.N = _population(N)
         if np.any(self.theta <= 0.0) or np.any(self.theta >= 1.0):
             raise ValueError("theta components must lie in (0, 1)")
         if abs(self.theta.sum() - 1.0) > 1e-12:
             raise ValueError("theta must sum to 1")
-        if np.any(self.beta < 0.0) or not self.beta[-1] > 0.0:
-            raise ValueError("beta must be nonnegative with beta_n > 0")
         self._encoding = (2, self.theta, self.beta)
         self._finalize()
 

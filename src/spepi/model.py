@@ -130,8 +130,8 @@ class EpidemicState:
 @dataclass(frozen=True)
 class StoppingRule:
     """Stopping specification for ``simulate``: ``max_steps`` a whole number
-    of at least 1, stored as an int, and ``eps_z``/``eps_s`` floats, which
-    default to 1e-12 * N and 1e-14 * N when left None.
+    of at least 1, stored as an int, and ``eps_z``/``eps_s`` nonnegative
+    floats, which default to 1e-12 * N and 1e-14 * N when left None.
     A run stops "converged" at the first step t >= 1 with
     ||I(t)||_1 < eps_z and S(t-1) - S(t) < eps_s, else at max_steps.
     """
@@ -145,12 +145,12 @@ class StoppingRule:
         for name in ("eps_z", "eps_s"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, float(getattr(self, name)))
+                if not getattr(self, name) >= 0.0:  # NaN fails too
+                    raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
 
     def resolve(self, N: float) -> tuple[int, float, float]:
         eps_z = DEFAULT_EPS_Z_REL * N if self.eps_z is None else self.eps_z
         eps_s = DEFAULT_EPS_S_REL * N if self.eps_s is None else self.eps_s
-        if not (eps_z >= 0.0 and eps_s >= 0.0):  # NaN fails too
-            raise ValueError(f"tolerances must be nonnegative, got {eps_z!r} and {eps_s!r}")
         return self.max_steps, eps_z, eps_s
 
 

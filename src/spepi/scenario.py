@@ -246,7 +246,6 @@ def scenario_from_dict(data: dict, built: Optional[dict] = None) -> Scenario:
 
         where = "stopping"
         stopping = build("stopping", lambda: StoppingRule(**_parse_section(data, "stopping")))
-        stopping.resolve(params.N)
     except ValueError as exc:
         if isinstance(exc, ScenarioError):
             raise

@@ -16,6 +16,7 @@ from spepi import (
     simulate,
     simulate_summary,
 )
+from spepi import scenario as scenario_module
 from spepi.cli import _figure_verdict, main
 from spepi.model import Trajectory
 from spepi.scenario import FIGURE_SCENARIO_NAMES
@@ -299,12 +300,73 @@ def test_sweep_rejects_bad_grid_and_path(tmp_path, capsys):
     ("1,abc", "--grid: cannot parse number from 'abc'"),
     ("1:abc:3", "--grid: cannot parse number from 'abc'"),
     ("1:2:3.5", "--grid: cannot parse integer from '3.5'"),
+    ("0:1", "grid '0:1': expected lo:hi:count"),
+    ("0:1:0", "grid count must be at least 1"),
 ])
 def test_sweep_grid_errors_name_the_grid_and_token(tmp_path, capsys, grid, message):
     assert main(["sweep", "--scenario", "fig2-left", "--out", str(tmp_path / "x.csv"),
                  "--param", "incidence.beta[2]", "--grid", grid]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key, grid", [("max_steps", "100,200"), ("eps_z", "1e-3,1e-10"),
+                                       ("eps_s", "1e-3,1e-10")])
+def test_sweep_rejects_a_flag_for_the_swept_entry(tmp_path, capsys, key, grid):
+    # --eps-z 1e-5 used to overwrite the swept eps_z at every grid point, so
+    # each row was the same run
+    flag = "--" + key.replace("_", "-")
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--scenario", "fig2-left", "--out", str(out), "--eps-s", "1",
+                 "--param", f"stopping.{key}", "--grid", grid, flag, "50"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --param stopping.{key} and {flag} both set stopping.{key}; give one\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-steps", "0", "max_steps must be at least 1"),
+    ("--eps-z", "nan", "eps_z must be nonnegative, got nan"),
+])
+@pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
+def test_stopping_flags_are_checked_as_stopping_entries(tmp_path, capsys, command, flag, value,
+                                                        message):
+    # these used to read "error: max_steps must be at least 1", with no
+    # section, and "error: tolerances must be nonnegative, got nan and 1e-14"
+    out = tmp_path / "o.csv"
+    args = {"simulate": ["--out", str(out)], "analyze": [],
+            "sweep": ["--out", str(out), "--param", "incidence.beta[2]", "--grid", "0.1"]}[command]
+    assert main([command, "--scenario", "fig2-left", flag, value, *args]) == 1
+    assert capsys.readouterr().err == f"error: stopping: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, stopping", [
+    ([], None), (["--max-steps", "40", "--eps-z", "1e-9"], {"max_steps": "40", "eps_z": "1e-09"})])
+def test_a_scenario_is_built_again_only_to_take_a_flag(tmp_path, monkeypatch, flags, stopping):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    build = scenario_module.scenario_from_dict
+    monkeypatch.setattr(scenario_module, "scenario_from_dict", counted)
+    monkeypatch.setattr(cli, "scenario_from_dict", counted)
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--scenario", "fig2-left", "--out", str(out), *flags]) == 0
+    # the bundled file has no [stopping]; the flags write the entries they set
+    built = [data.get("stopping") for data, *_ in calls]
+    assert built == ([None] if stopping is None else [None, stopping])
+
+
+def test_simulate_warns_when_max_steps_cuts_the_run(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--scenario", "fig2-left", "--out", str(out), "--max-steps", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"wrote {out}: 3 steps, stop_reason = max-steps, ")
+    assert captured.err == "warning: run hit max_steps before converging; output is partial\n"
+    assert "# stop_reason = max-steps\n" in out.read_text()
 
 
 def test_sweep_over_max_steps(tmp_path):
@@ -480,6 +542,25 @@ R = 0.0
 [stopping]
 eps_z = 1e-12
 """
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("family = exponential", "family = quadratic",
+     "incidence.family: unknown incidence family 'quadratic'"),
+    ("beta = 0.5, 0.5", "beta = 0.5, x", "incidence.beta: cannot parse number list from '0.5, x'"),
+])
+def test_scenario_entry_errors_name_the_entry(tmp_path, capsys, old, new, message):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(_TWO_STAGE.replace(old, new), encoding="utf-8")
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_malformed_ini_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[params\ngamma = 0.5\n", encoding="utf-8")
+    assert main(["validate", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: File contains no section headers.\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])

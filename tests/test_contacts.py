@@ -9,6 +9,7 @@ import pytest
 
 from spepi import (
     ContactDistribution,
+    CustomIncidence,
     ExponentialIncidence,
     LastClassIncidence,
     LinearIncidence,
@@ -143,8 +144,24 @@ def test_point_mass_one_contact_is_identity():
 
 def test_point_mass_zero_contacts_rejected():
     pi = ExponentialIncidence([0.4, 0.7], N=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^composition is not a valid incidence: "
+                                         "a contact distribution with zero mean infects nobody$"):
         compose_incidence(pi, ContactDistribution.explicit([1.0, 0.0]))
+
+
+def test_composition_reports_the_inner_fault_as_it_is():
+    # this used to end "(a contact distribution with zero mean infects
+    # nobody)", though the mean is 2
+    pi = CustomIncidence(lambda I: 0.0, n=2, N=1.0, grad=lambda I: [-0.1, 0.5])
+    with pytest.raises(ValueError, match="^gradient at zero must be componentwise nonnegative$"):
+        compose_incidence(pi, ContactDistribution.poisson(2.0))
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])
+def test_both_poisson_laws_reject_a_mean_alike(lam):
+    for build in (ContactDistribution.poisson, ContactDistribution.poisson_truncated):
+        with pytest.raises(ValueError, match="^the Poisson mean must be positive and finite$"):
+            build(lam)
 
 
 def test_poisson_closed_form_equals_scalar_exponential():

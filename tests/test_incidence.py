@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -175,6 +176,26 @@ def test_constructor_rejections():
         CustomIncidence(lambda I: math.nan, n=2, N=1.0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ExponentialIncidence([-0.1, 0.5], N=1.0), "beta must be nonnegative with beta_n > 0"),
+    (lambda: LinearIncidence([-0.1, 0.5], N=1.0), "beta must be nonnegative with beta_n > 0"),
+    (lambda: LinearIncidence([0.5, 0.0], N=1.0), "beta must be nonnegative with beta_n > 0"),
+    (lambda: SplitExponentialIncidence([1.5, -0.5], [1.0, 1.0], N=1.0),
+     "theta components must lie in (0, 1)"),
+    (lambda: SplitExponentialIncidence([0.5, 0.5], [-1.0, 1.0], N=1.0),
+     "beta must be nonnegative with beta_n > 0"),
+    (lambda: SplitExponentialIncidence([0.5, 0.5], [1.0, 0.0], N=1.0),
+     "beta must be nonnegative with beta_n > 0"),
+    (lambda: LastClassIncidence(n=2, N=1.0, kind="custom"), "custom last-class profile needs func"),
+    (lambda: LastClassIncidence(n=2, N=1.0, kind="quadratic"),
+     "unknown last-class kind 'quadratic'"),
+], ids=["exponential-beta", "linear-beta", "linear-beta_n", "split-theta", "split-beta",
+        "split-beta_n", "last-class-no-func", "last-class-kind"])
+def test_constructor_rejections_name_their_rule(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 NAN, INF = math.nan, math.inf
 
 
@@ -192,7 +213,7 @@ NAN, INF = math.nan, math.inf
     lambda: CustomIncidence(lambda I: 0.5 * I[-1], n=2, N=INF),
     lambda: ContactDistribution.explicit([0.5, NAN, 0.5]),
     lambda: ContactDistribution.poisson(INF),
-    lambda: StoppingRule(eps_z=NAN).resolve(1.0),
+    lambda: StoppingRule(eps_z=NAN),
 ], ids=["gamma", "N", "S", "I", "R", "beta-exponential", "beta-linear", "theta",
         "N-incidence", "beta-last-class", "N-custom", "contact-p", "lambda", "eps_z"])
 def test_non_finite_inputs_are_rejected(build):

@@ -27,6 +27,7 @@ from spepi import (
 from spepi.scenario import (
     ScenarioError,
     _parse_ini,
+    figure_scenario,
     scenario_from_dict,
     scenario_to_dict,
     set_scenario_value,
@@ -210,6 +211,32 @@ def test_stopping_rules_reject_a_max_steps_that_is_not_a_count(max_steps, messag
     # 1.5 used to run 1 step
     with pytest.raises(ValueError, match=f"^{message}$"):
         StoppingRule(max_steps=max_steps)
+
+
+@pytest.mark.parametrize("name", ["eps_z", "eps_s"])
+@pytest.mark.parametrize("value", [-1e-12, np.nan, -np.inf])
+def test_stopping_rules_reject_a_negative_or_nan_tolerance(name, value):
+    # these used to build and fail only when a run resolved the rule
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got {float(value)!r}$"):
+        StoppingRule(**{name: value})
+    assert StoppingRule(**{name: 0.0}).resolve(2.0) == (
+        10**6, 0.0 if name == "eps_z" else 2e-12, 0.0 if name == "eps_s" else 2e-14)
+
+
+def test_no_bundled_figure_of_another_name():
+    with pytest.raises(ScenarioError, match="^no bundled figure scenario named 'fig9'$"):
+        figure_scenario("fig9")
+
+
+def test_nested_composition_is_not_saved(figures, tmp_path):
+    sc = figures["fig2-left"]
+    inner = poisson_incidence(2.0, sc.incidence)
+    nested = compose_incidence(inner, ContactDistribution.explicit([0.5, 0.5]))
+    path = tmp_path / "nested.ini"
+    with pytest.raises(ScenarioError, match="^nested contact compositions cannot be serialized$"):
+        save_scenario(Scenario(label="nested", params=sc.params, incidence=nested,
+                               initial=sc.initial, stopping=sc.stopping), path)
+    assert not path.exists()
 
 
 def test_set_scenario_value_paths(figures):

@@ -112,8 +112,7 @@ def final_size_equation_solve(
 
     Raises:
         TypeError: for any other incidence (the equation does not hold).
-        ValueError: if the bracket carries no sign change, which signals a
-            violated initial condition (S(0) > 0, I(0) != 0).
+        ValueError: if the initial condition S(0) > 0, I(0) != 0 fails.
     """
     spec = incidence.kernel_spec()
     if spec is None or (spec[0], spec[3]) not in ((1, 0), (0, 2)):
@@ -133,12 +132,7 @@ def final_size_equation_solve(
         # log(S0 / x) would overflow to inf for x below about 5e-309
         return log_S0 - math.log(x) - C + R0 * x / N
 
-    hi = min(S0, N / R0)
-    if not g(hi) < 0.0:
-        raise ValueError(
-            "no sign change on the final-size bracket; initial condition violated"
-        )
-    root, halvings = _bisect(lambda x: not g(x) > 0.0, math.ulp(0.0), hi)
+    root, halvings = _bisect(lambda x: not g(x) > 0.0, math.ulp(0.0), min(S0, N / R0))
     return FinalSizeResult(s_inf=root, iterations=halvings)
 
 

@@ -29,13 +29,14 @@ from .scenario import (
     FIGURE_SCENARIO_NAMES,
     Scenario,
     ScenarioError,
+    _bundled_data,
     _parse_float,
+    _parse_ini,
     _parse_int,
-    figure_scenario,
     figure_scenarios,
-    load_scenario,
+    load_scenario,  # noqa: F401  unused; a span of perfbench/tracing.PATCHES wraps it
     scenario_from_dict,
-    scenario_to_dict,
+    scenario_to_dict,  # noqa: F401  unused; a span of perfbench/tracing.PATCHES wraps it
     set_scenario_value,
 )
 
@@ -49,31 +50,28 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _resolve_scenario(ref: str) -> Scenario:
-    """A path on disk, or the label of a bundled figure scenario."""
+def _read_scenario(ref: str) -> dict:
+    """The section dicts of a scenario file path, or else of a bundled scenario name."""
     if Path(ref).exists():
-        return load_scenario(ref)
+        return _parse_ini(Path(ref).read_text(encoding="utf-8"), ref)
     if ref in FIGURE_SCENARIO_NAMES:
-        return figure_scenario(ref)
+        return _bundled_data(ref)
     raise ScenarioError(f"scenario {ref!r}: no such file or bundled scenario name")
 
 
-def _stopping_flags(args) -> dict:
-    """Each stopping flag given, keyed by the [stopping] entry it overwrites."""
-    keys = ("max_steps", "eps_z", "eps_s")
-    return {f"stopping.{key}": getattr(args, key) for key in keys if getattr(args, key) is not None}
-
-
-def _flagged_scenario(args) -> Scenario:
-    """``args.scenario`` with each stopping flag given written into its [stopping] entry."""
-    scenario = _resolve_scenario(args.scenario)
-    flags = _stopping_flags(args)
-    if not flags:  # the scenario is built once
-        return scenario
-    data = scenario_to_dict(scenario)
-    for path, value in flags.items():
+def _write_flags(data: dict, args) -> dict:
+    """``data`` with each stopping flag given written into its [stopping]
+    entry, as if the file held that value; a flag for the swept entry raises."""
+    for key in ("max_steps", "eps_z", "eps_s"):
+        value = getattr(args, key)
+        path = f"stopping.{key}"
+        if value is None:
+            continue
+        if path == getattr(args, "param", None):
+            flag = "--" + key.replace("_", "-")
+            raise ScenarioError(f"--param {path} and {flag} both set {path}; give one")
         set_scenario_value(data, path, value)
-    return scenario_from_dict(data)
+    return data
 
 
 # rows formatted per block.  The formatter's numpy temporaries peak near 85
@@ -111,7 +109,7 @@ def _write_trajectory_csv(traj: Trajectory, path: Path) -> None:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _flagged_scenario(args)
+    scenario = scenario_from_dict(_write_flags(_read_scenario(args.scenario), args))
     traj = simulate(scenario.initial, scenario.params, scenario.incidence, scenario.stopping)
     _write_trajectory_csv(traj, Path(args.out))
     print(f"wrote {args.out}: {traj.n_steps} steps, stop_reason = {traj.stop_reason}, "
@@ -208,7 +206,8 @@ def _analyze_lines(scenario: Scenario):
 
 
 def cmd_analyze(args) -> int:
-    for key, value in _analyze_lines(_flagged_scenario(args)):
+    scenario = scenario_from_dict(_write_flags(_read_scenario(args.scenario), args))
+    for key, value in _analyze_lines(scenario):
         print(f"{key} = {value}")
     return EXIT_OK
 
@@ -231,13 +230,9 @@ def _parse_grid(text: str) -> list:
 
 
 def cmd_sweep(args) -> int:
-    base_data = scenario_to_dict(_resolve_scenario(args.scenario))
+    base_data = _read_scenario(args.scenario)
     grid = _parse_grid(args.grid)
-    for path, value in _stopping_flags(args).items():
-        if path == args.param:
-            flag = "--" + path.removeprefix("stopping.").replace("_", "-")
-            raise ScenarioError(f"--param {path} and {flag} both set {path}; give one")
-        set_scenario_value(base_data, path, value)
+    _write_flags(base_data, args)
     built = {}  # the sections the swept entry leaves alone are built once
     rows = []
     for value in grid:
@@ -335,7 +330,7 @@ def cmd_reproduce_figures(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scenario = _resolve_scenario(args.scenario)
+    scenario = scenario_from_dict(_read_scenario(args.scenario))
     report = validate_regularity(scenario.incidence)
     for name in ("family", "analytic", "range_ok", "zero_ok", "gradient_ok", "r_last_ok",
                  "concave_ok", "points_checked", "passed"):

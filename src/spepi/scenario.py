@@ -321,7 +321,7 @@ def set_scenario_value(data: dict, path: str, value: float) -> None:
 
     A path is ``section.key``, or ``section.key[i]`` for an entry of a number
     list.  Any key of the schema can be set, one the data leaves out too.
-    Operates on the string dict from :func:`scenario_to_dict`; rebuild
+    Operates on section dicts of strings, as a file parses to; rebuild
     through :func:`scenario_from_dict` to re-validate.
     """
     where, match = f"sweep path {path!r}", _SWEEP_PATH.fullmatch(path)
@@ -340,7 +340,7 @@ def set_scenario_value(data: dict, path: str, value: float) -> None:
         raise ScenarioError(f"{where}: {section}.{key} " + ("is not a list" if index else
                             f"is a list; name one entry, as in {section}.{key}[0]"))
     if index is not None:
-        items = _parse_floats(_get(entries, key, section), path)
+        items = _parse_floats(_get(entries, key, section), f"{section}.{key}")
         if int(index) >= len(items):
             raise ScenarioError(f"{where}: index {index} out of range (length {len(items)})")
         items[int(index)] = value
@@ -352,12 +352,17 @@ def set_scenario_value(data: dict, path: str, value: float) -> None:
     data.setdefault(section, entries)[key] = _fmt(value)
 
 
-def figure_scenario(name: str) -> Scenario:
-    """The bundled figure scenario with label ``name``."""
+def _bundled_data(name: str) -> dict:
+    """The section dicts of the bundled figure scenario with label ``name``."""
     if name not in FIGURE_SCENARIO_NAMES:
         raise ScenarioError(f"no bundled figure scenario named {name!r}")
     path = resources.files("spepi").joinpath("scenarios").joinpath(f"{name}.ini")
-    return scenario_from_dict(_parse_ini(path.read_text(encoding="utf-8"), f"{name}.ini"))
+    return _parse_ini(path.read_text(encoding="utf-8"), f"{name}.ini")
+
+
+def figure_scenario(name: str) -> Scenario:
+    """The bundled figure scenario with label ``name``."""
+    return scenario_from_dict(_bundled_data(name))
 
 
 def figure_scenarios() -> dict:

@@ -130,6 +130,24 @@ def _mp_final_size_root(initial, params, inc):
         return mpmath.exp(y)
 
 
+@pytest.mark.parametrize("seed", [1e-17, 1e-20, 1e-300])
+def test_final_size_root_for_a_seed_lost_in_rounding(seed):
+    # C = sum_j (r_j/g_j)(S0 + cumsum(I0)_j) rounds to R0 S0 / N, so g(S0)
+    # rounds to 0; this used to raise "no sign change on the final-size
+    # bracket; initial condition violated"
+    mpmath = pytest.importorskip("mpmath")
+    params = StageParams(gamma=[0.5, 0.5], N=1.0)
+    inc = ExponentialIncidence([0.2, 0.2], N=1.0)
+    res = final_size_equation_solve(EpidemicState(S=1.0, I=[seed, 0.0], R=0.0), params, inc)
+    with mpmath.workdps(60):
+        w = [mpmath.mpf(r) / mpmath.mpf(g) for r, g in zip(inc.r.tolist(), params.gamma.tolist())]
+        C = sum(wj * (1 + mpmath.mpf(seed)) for wj in w)  # cumsum(I0) = (seed, seed)
+        y = mpmath.findroot(lambda y: -y - C + sum(w) * mpmath.exp(y), (-1, 0), solver="anderson")
+        ref = float(mpmath.exp(y))
+    assert 0.0 < res.s_inf <= 1.0
+    assert abs(res.s_inf - ref) <= 4 * math.ulp(res.s_inf), (res.s_inf, ref)
+
+
 _FINAL_SIZE_MODELS = {
     "one-stage": ([0.5], [1.0], 0.99, [0.01]),
     "three-stage": ([0.6, 0.7, 0.3], [0.2, 0.2, 0.1], 0.98, [0.01, 0.006, 0.004]),
@@ -311,6 +329,28 @@ def test_limit_direction_too_short():
                     StoppingRule(max_steps=2))
     with pytest.raises(ValueError):
         limit_direction(traj)
+
+
+def test_limit_direction_below_the_direction_floor():
+    # a one-stage run seeded at 1e-260 never records Z above 1e-250
+    params = StageParams(gamma=[0.5], N=1.0)
+    traj = simulate(EpidemicState(S=1.0, I=[1e-260], R=0.0), params,
+                    ExponentialIncidence([0.2], N=1.0))
+    assert traj.stop_reason == "converged"
+    with pytest.raises(ValueError, match="^every recorded state is below the direction floor$"):
+        limit_direction(traj)
+
+
+def test_tail_sums_and_final_size_need_a_converged_run_in_range(figures):
+    sc = figures["fig2-left"]
+    cut = simulate(sc.initial, sc.params, sc.incidence, StoppingRule(max_steps=5))
+    with pytest.raises(ValueError, match="^tail sums need a converged trajectory$"):
+        tail_sum_check(cut)
+    with pytest.raises(RuntimeError, match="^no convergence within 5 steps; cannot read S_inf$"):
+        final_size_simulate(sc.initial, sc.params, sc.incidence, StoppingRule(max_steps=5))
+    traj = simulate(sc.initial, sc.params, sc.incidence, sc.stopping)
+    with pytest.raises(ValueError, match=f"^t0 = {traj.n_steps + 1} outside the recorded range$"):
+        tail_sum_check(traj, traj.n_steps + 1)
 
 
 def test_monotonicity_onset_fig2_left(figures):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -341,9 +342,16 @@ def test_stopping_flags_are_checked_as_stopping_entries(tmp_path, capsys, comman
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags, stopping", [
-    ([], None), (["--max-steps", "40", "--eps-z", "1e-9"], {"max_steps": "40", "eps_z": "1e-09"})])
-def test_a_scenario_is_built_again_only_to_take_a_flag(tmp_path, monkeypatch, flags, stopping):
+_FLAGS = (["--max-steps", "40", "--eps-z", "1e-9"], {"max_steps": "40", "eps_z": "1e-09"})
+
+
+@pytest.mark.parametrize("command, flags, stopping", [
+    pytest.param(command, *flagged, id=f"{command}-{'flags' if flagged[0] else 'none'}")
+    for command in ("simulate", "analyze", "validate", "sweep")
+    for flagged in [([], None)] + ([_FLAGS] if command != "validate" else [])])
+def test_each_command_builds_its_scenario_once(tmp_path, monkeypatch, command, flags, stopping):
+    # a stopping flag used to build the scenario, turn it back into strings
+    # and build it again: two builds, [None, stopping]
     calls = []
 
     def counted(*args):
@@ -354,10 +362,27 @@ def test_a_scenario_is_built_again_only_to_take_a_flag(tmp_path, monkeypatch, fl
     monkeypatch.setattr(scenario_module, "scenario_from_dict", counted)
     monkeypatch.setattr(cli, "scenario_from_dict", counted)
     out = tmp_path / "o.csv"
-    assert main(["simulate", "--scenario", "fig2-left", "--out", str(out), *flags]) == 0
+    args = {"simulate": ["--out", str(out)], "analyze": [], "validate": [],
+            "sweep": ["--out", str(out), "--param", "incidence.beta[2]", "--grid", "0.1,0.2,0.3"]}
+    assert main([command, "--scenario", "fig2-left", *args[command], *flags]) == 0
     # the bundled file has no [stopping]; the flags write the entries they set
     built = [data.get("stopping") for data, *_ in calls]
-    assert built == ([None] if stopping is None else [None, stopping])
+    assert built == [stopping] * (3 if command == "sweep" else 1)
+
+
+def test_a_stopping_flag_stands_in_for_a_bad_file_entry(tmp_path, capsys):
+    # the file was built before the flag was written, so this exited 1 with
+    # "error: stopping.eps_z: cannot parse number from 'abc'"
+    path = tmp_path / "bad.ini"
+    text = (resources.files("spepi") / "scenarios" / "fig2-left.ini").read_text()
+    path.write_text(text + "\n[stopping]\neps_z = abc\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out), "--eps-z", "1e-9"]) == 0
+    assert main(["simulate", "--scenario", "fig2-left", "--out", str(tmp_path / "b.csv"),
+                 "--eps-z", "1e-9"]) == 0
+    assert out.read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: stopping.eps_z: cannot parse number from 'abc'\n"
 
 
 def test_simulate_warns_when_max_steps_cuts_the_run(tmp_path, capsys):
@@ -367,6 +392,14 @@ def test_simulate_warns_when_max_steps_cuts_the_run(tmp_path, capsys):
     assert captured.out.startswith(f"wrote {out}: 3 steps, stop_reason = max-steps, ")
     assert captured.err == "warning: run hit max_steps before converging; output is partial\n"
     assert "# stop_reason = max-steps\n" in out.read_text()
+
+
+def test_analyze_names_a_run_too_short_for_a_direction(capsys):
+    assert main(["analyze", "--scenario", "fig2-left", "--eps-z", "1", "--eps-s", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "steps = 1\n" in out
+    assert ("limit_direction_error = n/a (trajectory with 1 steps is too short for a stable "
+            "direction (need at least n = 3))\n") in out
 
 
 def test_sweep_over_max_steps(tmp_path):
@@ -451,6 +484,17 @@ def test_figure_verdict_needs_a_recorded_claim(figures):
                     scenario.stopping)
     with pytest.raises(ValueError, match="no recorded claim"):
         _figure_verdict("fig9", scenario, traj)
+
+
+@pytest.mark.parametrize("claim, Z, reason", [
+    (cli._rises_somewhere, [0.3, 0.2, 0.1], "Z never rises"),
+    (cli._rises_somewhere, [0.3], "Z never rises"),
+    (cli._falls_before_rising, [0.1, 0.2, 0.3], "Z never falls"),
+    (cli._falls_before_rising, [0.3, 0.2, 0.1], "Z never rises"),
+    (cli._falls_before_rising, [0.3, 0.3], "Z never falls"),
+])
+def test_figure_claims_name_a_series_that_never_rises_or_falls(claim, Z, reason):
+    assert claim(np.array(Z)) == (False, reason)
 
 
 def test_reproduce_figures_failing_verdict_exit_code(figures, tmp_path, monkeypatch):
@@ -552,8 +596,14 @@ eps_z = 1e-12
 def test_scenario_entry_errors_name_the_entry(tmp_path, capsys, old, new, message):
     bad = tmp_path / "bad.ini"
     bad.write_text(_TWO_STAGE.replace(old, new), encoding="utf-8")
-    assert main(["validate", "--scenario", str(bad)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    out = tmp_path / "x.csv"
+    # a sweep names the bad entry alike, whether it sweeps that entry or not
+    for command in (["validate"],
+                    ["sweep", "--param", "incidence.beta[0]", "--grid", "0.1", "--out", str(out)],
+                    ["sweep", "--param", "params.gamma[0]", "--grid", "0.1", "--out", str(out)]):
+        assert main([*command, "--scenario", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_malformed_ini_names_the_file(tmp_path, capsys):

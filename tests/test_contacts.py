@@ -43,6 +43,8 @@ def test_distribution_validation():
         ContactDistribution.explicit([-0.1, 1.1])
     with pytest.raises(ValueError):
         ContactDistribution.poisson(0.0)
+    with pytest.raises(ValueError, match="^contact probabilities must form a nonempty 1-d vector$"):
+        ContactDistribution.explicit([[0.5, 0.5]])
     # sub-tolerance deficits renormalize
     d = ContactDistribution.explicit([0.5, 0.5 - 1e-13])
     assert d.p.sum() == pytest.approx(1.0, abs=1e-16)
@@ -155,6 +157,13 @@ def test_composition_reports_the_inner_fault_as_it_is():
     pi = CustomIncidence(lambda I: 0.0, n=2, N=1.0, grad=lambda I: [-0.1, 0.5])
     with pytest.raises(ValueError, match="^gradient at zero must be componentwise nonnegative$"):
         compose_incidence(pi, ContactDistribution.poisson(2.0))
+
+
+def test_composition_whose_last_stage_gradient_underflows():
+    # r_n = 1e-30 * 1e-300 underflows to 0
+    with pytest.raises(ValueError, match=r"^last infected stage must be infectious to first "
+                                         r"order \(r_n > 0\)$"):
+        compose_incidence(ExponentialIncidence([1e-300], N=1.0), ContactDistribution.poisson(1e-30))
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf, math.nan])

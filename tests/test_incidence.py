@@ -157,6 +157,8 @@ def test_domain_errors():
         inc.phi([0.6, 0.5, 0.2])  # mass 1.3 > N
     with pytest.raises(DomainError):
         inc.grad([0.6, 0.5, 0.2])
+    with pytest.raises(DomainError, match=r"^infected vector has shape \(2,\), expected \(3,\)$"):
+        inc.phi([0.1, 0.2])
     # inside the 1e-12 relative tolerance is still admissible
     assert inc.phi([1.0 + 5e-13, 0.0, 0.0]) < 1.0
 

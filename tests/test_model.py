@@ -31,6 +31,9 @@ from conftest import corrupt_one_row, random_initial, random_model
 def test_stage_params_validation():
     p = StageParams(gamma=[0.6, 0.7, 0.3], N=1.0)
     assert p.n == 3
+    one = StageParams(gamma=0.5, N=1.0)  # a scalar gamma is one stage
+    assert one.n == 1
+    assert one.gamma.tolist() == [0.5]
     with pytest.raises(ValueError):
         StageParams(gamma=[1.0, 0.5], N=1.0)
     with pytest.raises(ValueError):

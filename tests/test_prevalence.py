@@ -204,6 +204,14 @@ def test_ratio_condition_families():
     assert monotone_decay_ratio_check(sub) is False
 
 
+def test_last_class_predicates_reject_other_incidences(figures):
+    sc = figures["fig2-left"]
+    with pytest.raises(TypeError, match="^last-class outbreak predicate needs a LastClassIncidence$"):
+        outbreak_predicate_lastclass(sc.initial, sc.params, sc.incidence)
+    with pytest.raises(TypeError, match="^ratio check applies to last-class incidence only$"):
+        monotone_decay_ratio_check(sc.incidence)
+
+
 def test_once_decreasing_stays_decreasing_lastclass():
     # ratio-condition families: after the first resolved fall, Z never rises.
     # The one-step motion is read from the balance S phi - g_n I_n (summing
@@ -245,6 +253,8 @@ def test_classify_shape_basic_buckets():
     assert p.peak_times == (1,)
     # degenerate single value
     assert classify_shape([0.0]).classification == "monotone-decreasing"
+    with pytest.raises(ValueError, match="^Z must be a nonempty 1-d series$"):
+        classify_shape([])
 
 
 def test_classify_shape_figures(figures):

@@ -10,6 +10,7 @@ import pytest
 
 from spepi import (
     ContactDistribution,
+    CustomIncidence,
     EpidemicState,
     ExponentialIncidence,
     LastClassIncidence,
@@ -235,6 +236,16 @@ def test_nested_composition_is_not_saved(figures, tmp_path):
     path = tmp_path / "nested.ini"
     with pytest.raises(ScenarioError, match="^nested contact compositions cannot be serialized$"):
         save_scenario(Scenario(label="nested", params=sc.params, incidence=nested,
+                               initial=sc.initial, stopping=sc.stopping), path)
+    assert not path.exists()
+
+
+def test_a_custom_incidence_is_not_saved(figures, tmp_path):
+    sc = figures["fig2-left"]
+    custom = CustomIncidence(lambda I: 0.0, n=3, N=1.0)
+    path = tmp_path / "custom.ini"
+    with pytest.raises(ScenarioError, match="^incidence family 'custom' cannot be serialized$"):
+        save_scenario(Scenario(label="custom", params=sc.params, incidence=custom,
                                initial=sc.initial, stopping=sc.stopping), path)
     assert not path.exists()
 

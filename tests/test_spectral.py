@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,8 @@ def test_build_B_rejections():
         build_B(1.0, params, [0.0])
     with pytest.raises(ValueError):
         build_B(1.0, params, [-0.1])
+    with pytest.raises(ValueError, match="^r must have length 1$"):
+        build_B(1.0, params, [0.1, 0.2])
 
 
 def test_delta_rejects_an_incidence_built_for_other_params():
@@ -259,3 +262,19 @@ def test_sign_identities_directions():
         assert rep.rho_minus_one == want
         assert all(s == want for s in rep.gamma_v_pairs)
         assert rep.infection_balance == want
+
+
+def test_sign_identities_name_each_mismatch():
+    # fig2-left's B(0.9) has rho = 0.9616; report it as 1.5 instead
+    params = StageParams(gamma=[0.6, 0.7, 0.3], N=1.0)
+    d = build_B(0.9, params, [0.2, 0.2, 0.1])
+    rep = sign_identities_check(d, dataclasses.replace(perron(d), rho=1.5))
+    assert not rep.consistent
+    assert (rep.rho_minus_one, rep.a_minus_threshold) == (1, -1)
+    assert rep.mismatches == (
+        "sign(a - 1/delta) = -1 != sign(rho - 1) = 1",
+        "gamma_i v_i - gamma_j v_j pair 0: sign -1 != 1",
+        "gamma_i v_i - gamma_j v_j pair 1: sign -1 != 1",
+        "gamma_i v_i - gamma_j v_j pair 2: sign -1 != 1",
+        "sign(a r.v - gamma_1 v_1) = -1 != 1",
+    )

@@ -1,25 +1,25 @@
 """The stepping kernel: Python source generated per encoding.
 
 One function steps the map for each key (n, ``ik``, ``ok``, K, record):
-stage count, the encoding's kinds below, the contact table's length and
-whether it records the stages.  It is generated on first use and cached,
-so importing generates nothing.  Up
-to ``UNROLL_STAGES`` stages (``UNROLL_TABLE`` entries) each loop is
-written out over locals i0..i{n-1} and the like, with phi inlined; above,
-the key drops n (or K) for a loop form.  Both forms keep each operation's
-operands and order, so the bits do not depend on the form: stage j gets
+stage count, the encoding's kinds below, the contact table's length (None
+without a contact law) and whether it records the stages.  It is generated
+on first use and cached, so importing generates nothing.  Every loop is
+written out, over locals i0..i{n-1} and the like, with phi inlined, and
+each sum is split every ``_SUM_TERMS`` terms (``z = z + i1024 + ...``),
+which keeps every operation's operands and order: stage j gets
 k_j * I_j + g_{j-1} * I_{j-1} with k_j = 1 - g_j (stage 1 gains phi * S,
 g_n * I_n goes to R), and Z = 0.0 + I_1 + ... + I_n and each phi sum
 upwards from 0.0.  Each built-in phi is written once, as its template in
-``_INNER`` or ``_OUTER``; ``inner_phi`` and ``outer_phi`` evaluate
-functions generated from them for the model objects.
+``_INNER`` or ``_OUTER``; ``inner_phi`` and ``outer_phi`` evaluate loops
+generated from them for the model objects.
 
 ``run_chunk`` steps every run: it looks up the stepper for its key and
 calls it on the caller's Python lists (indexing numpy arrays from Python
 boxes a scalar per element).  A model without an encoding passes
-``phi_fn``, called in place of the template.  Every stepper returns six
-values.  A summary run passes no stage buffer: its stepper keeps no stage
-rows and seeks the onset of strict decrease from each call's entry.
+``phi_fn``, called in place of the template on a tuple of the stages.
+Every stepper returns six values.  A summary run passes no stage buffer:
+its stepper keeps no stage rows and seeks the onset of strict decrease
+from each call's entry.
 
   inner kind ``ik``:  0 linear  phi = v1 . I
                       1 exponential  phi = -expm1(-(v1 . I))
@@ -37,12 +37,9 @@ from __future__ import annotations
 
 import math
 
-# Unrolled, a step ran 1.3-1.7x faster than the loop form at every n tried
-# (8..2048), and a table sum about 1.5x up to K = 64 (none at 128).  The limit
-# on n is CPython's: 3.11 stops compiling the unrolled sums ("maximum recursion
-# depth exceeded during compilation") at n = 2987, less 1 per 3 caller frames
-UNROLL_STAGES = 1024
-UNROLL_TABLE = 64
+# A "+" chain compiles recursively, one level a term, so a written-out sum
+# is split into lines of at most this many terms
+_SUM_TERMS = 1024
 
 # The inner phi of kind ik: the term of stage j ({v}, {w}, {x} name v1[j],
 # v2[j] and I[j]), and phi from the sum ``acc`` of the terms
@@ -55,16 +52,21 @@ _OUTER = {0: ("phi = pi", None),
           2: ("phi = -expm1(-{p} * pi)", None)}
 
 
+def _sum(name, terms):
+    """Lines setting ``name`` to 0.0 + terms[0] + ..., summed in order."""
+    return [f"{name} = " + " + ".join([name if c else "0.0", *terms[c:c + _SUM_TERMS]])
+            for c in range(0, len(terms), _SUM_TERMS)]
+
+
 def _inner_lines(n, ik):
     """Lines setting the inner value ``pi``: over locals i0.., a0.., b0..
     when n is given, else over I, v1 and v2; ik None calls ``phi_fn``."""
     if ik is None:
-        return [f"pi = phi_fn(({', '.join(f'i{j}' for j in range(n))},))" if n
-                else "pi = phi_fn(I)"]
+        return [f"pi = phi_fn(({', '.join(f'i{j}' for j in range(n))},))"]
     term, inner = _INNER[ik]
     if n:
-        return ["acc = " + " + ".join(["0.0"] + [
-            term.format(v=f"a{j}", w=f"b{j}", x=f"i{j}") for j in range(n)]), "pi = " + inner]
+        return [*_sum("acc", [term.format(v=f"a{j}", w=f"b{j}", x=f"i{j}") for j in range(n)]),
+                "pi = " + inner]
     return ["acc = 0.0", "for j in range(len(I)):",
             "    acc += " + term.format(v="v1[j]", w="v2[j]", x="I[j]"), "pi = " + inner]
 
@@ -86,35 +88,23 @@ def _stepper_lines(n, ik, ok, K, record):
     Without ``record`` it stores no stage rows and, until it finds the
     onset, forms each step's new stages apart from the old ones, by the same
     expressions in the same order, and compares them."""
-    if not n:  # the loop form: the stages stay in the list or array I
-        setup = ["n = len(I)", "z = 0.0", "for j in range(n):", "    z += I[j]"]
-        # the onset's lines: before, inside and after the loop over stages
-        seeking = [] if record else ["down = onset is None", "    down = down and new < old",
-                                     "if down:", "    onset = row - 1"]
-        update = ["flow = inc", "z = 0.0", *seeking[:1], "for j in range(n):", "    old = I[j]",
-                  "    new = (1.0 - gamma[j]) * old + flow", "    I[j] = new", "    z += new",
-                  "    flow = gamma[j] * old", *seeking[1:2], "R = R + flow", *seeking[2:]]
-        store, leave = ["for j in range(n):", "    I_out[row * n + j] = I[j]"], []
-    else:
-        zsum = "z = " + " + ".join(["0.0"] + [f"i{j}" for j in range(n)])
-        setup = [f"g{j} = gamma[{j}]; k{j} = 1.0 - g{j}; i{j} = I[{j}]" for j in range(n)]
-        setup += [f"a{j} = v1[{j}]" for j in range(n) if ik is not None]
-        setup += [f"b{j} = v2[{j}]" for j in range(n) if ik == 2] + [zsum]
-        stages = [f"{{}}{j} = k{j} * i{j} + g{j - 1} * i{j - 1}" for j in range(n - 1, 0, -1)]
-        stages += ["{}0 = k0 * i0 + inc"]
-        if not record:  # once the onset is found, the stages update in place
-            seeking = [line.format("u") for line in stages]
-            seeking += ["if " + " and ".join(f"u{j} < i{j}" for j in range(n)) + ":",
-                        "    onset = row - 1", *(f"i{j} = u{j}" for j in range(n))]
-            stages = ["if onset is None:", *("    " + line for line in seeking),
-                      "else:", *("    " + line.format("i") for line in stages)]
-        else:
-            stages = [line.format("i") for line in stages]
-        update = [f"R = R + g{n - 1} * i{n - 1}", *stages, zsum]
-        store = [f"base = row * {n}"] + [f"I_out[base + {j}] = i{j}" for j in range(n)]
-        leave = [f"I[{j}] = i{j}" for j in range(n)]
+    zsum = _sum("z", [f"i{j}" for j in range(n)])
+    setup = [f"g{j} = gamma[{j}]; k{j} = 1.0 - g{j}; i{j} = I[{j}]" for j in range(n)]
+    setup += [f"a{j} = v1[{j}]" for j in range(n) if ik is not None]
+    setup += [f"b{j} = v2[{j}]" for j in range(n) if ik == 2] + zsum
     setup += [f"o{i} = op[{i}]" for i in range(K or 0)]
-    update = ["inc = phi * S", "S_new = S - inc", *update,
+    stages = [f"{{}}{j} = k{j} * i{j} + g{j - 1} * i{j - 1}" for j in range(n - 1, 0, -1)]
+    stages += ["{}0 = k0 * i0 + inc"]
+    if not record:  # once the onset is found, the stages update in place
+        seeking = [line.format("u") for line in stages]
+        seeking += ["if " + " and ".join(f"u{j} < i{j}" for j in range(n)) + ":",
+                    "    onset = row - 1", *(f"i{j} = u{j}" for j in range(n))]
+        stages = ["if onset is None:", *("    " + line for line in seeking),
+                  "else:", *("    " + line.format("i") for line in stages)]
+    else:
+        stages = [line.format("i") for line in stages]
+    store = [f"base = row * {n}"] + [f"I_out[base + {j}] = i{j}" for j in range(n)]
+    update = ["inc = phi * S", "S_new = S - inc", f"R = R + g{n - 1} * i{n - 1}", *stages, *zsum,
               "conv = z < eps_z and S - S_new < eps_s", "S = S_new"]
     loop = _inner_lines(n, ik) + _outer_lines(ok, K) + [
         "S_out[row] = S", "R_out[row] = R", "phi_out[row] = phi", "Z_out[row] = z",
@@ -123,14 +113,15 @@ def _stepper_lines(n, ik, ok, K, record):
     return ["cap = len(S_out)", *setup, "row = 0", "conv = False", "onset = None",
             "if phi >= 0.0:  # the entry state is recorded: step past it",
             *("    " + line for line in update),
-            "while True:", *("    " + line for line in loop), *leave,
-            "return row, conv, S, R, phi, onset"]
+            "while True:", *("    " + line for line in loop),
+            *(f"I[{j}] = i{j}" for j in range(n)), "return row, conv, S, R, phi, onset"]
 
 
 def _source(key):
-    """("inner", ik) or ("outer", ok): phi alone; (n, ik, ok, K, record): the
-    stepper, n or K None selecting a loop form, ik None a custom ``phi_fn``
-    and ``record`` False the summary stepper."""
+    """("inner", ik) or ("outer", ok): phi alone, as a loop over any length;
+    (n, ik, ok, K, record): the stepper, written out for its n and K, ik
+    None calling a custom ``phi_fn`` and ``record`` False the summary
+    stepper."""
     if key[0] == "inner":
         args, body = "I, v1, v2", _inner_lines(None, key[1]) + ["return pi"]
     elif key[0] == "outer":
@@ -156,10 +147,9 @@ def _generated(key):
 
 
 def _key(n, ik, ok, K, phi_fn=None, record=True):
-    """The stepper's key: n and K None above the unroll limits, ik None for a
+    """The stepper's key: K None without a contact law, ik None for a
     phi_fn, and whether it records the stages."""
-    return (n if n <= UNROLL_STAGES else None, ik if phi_fn is None else None, ok,
-            K if 0 < ok and K <= UNROLL_TABLE else None, record)
+    return (n, ik if phi_fn is None else None, ok, K if ok else None, record)
 
 
 def inner_phi(I, ik, v1, v2):
@@ -180,8 +170,9 @@ def run_chunk(S, I, R, phi, gamma, ik, v1, v2, ok, op, eps_z, eps_s,
     ||I||_1 (summed in the stop rule's order) at ``S_out[k]`` etc., and
     stage j at ``I_out[k * n + j]``.  phi < 0: the entry state is
     unrecorded and is recorded first; else it was recorded with
-    incidence phi and is stepped past.  A row's phi is phi_fn(I) when
-    given, else the encoding's; I is updated in place.  Returns (rows,
+    incidence phi and is stepped past.  A row's phi is phi_fn called on a
+    tuple of the stages when given, else the encoding's; I is updated in
+    place.  Returns (rows,
     converged, S, R, phi_last, onset), ending at convergence (||I|| <
     eps_z and the S decrement < eps_s), after ``len(S_out)`` rows, or at
     a row whose phi lies outside [0, 1), which the row checks reject.

@@ -70,10 +70,14 @@ def final_size_bounds(
 ) -> FinalSizeBounds:
     """Applicable threshold bounds for the final susceptible level.
 
-    The upper bound N/R0 needs R0 > 1.  The lower bound additionally
-    needs R0 < 1 and every initial infected in the first stage.
+    Both sides need an epidemic start, S(0) > 0 and I(0) != 0 (with no
+    infected, S stays at S(0)).  The upper bound N/R0 needs R0 > 1.  The
+    lower bound needs R0 < 1 and every initial infected in the first stage.
     """
     initial.validate_against(params)
+    if not initial.satisfies_initial_condition():
+        reason = "requires S(0) > 0 and I(0) != 0"
+        return FinalSizeBounds(lower=None, upper=None, lower_reason=reason, upper_reason=reason)
     R0 = r0(params, incidence)
     N = params.N
     dlt = delta(params, incidence)
@@ -106,9 +110,13 @@ def final_size_equation_solve(
     g(x) = log(S(0)) - log(x) - sum_j (r_j/g_j)(S(0) + cumsum(I(0))_j) + R0 x / N
     is decreasing on (0, N/R0) and increasing beyond, with its unique
     root in (0, min(S(0), N/R0)); ``spectral._bisect`` closes that bracket
-    from the least positive double to adjacent doubles, so the root keeps
-    full relative precision however small it is.  A root below the least
-    positive double comes back as a subnormal of a few ulps.
+    from the least positive double to adjacent doubles where the computed g
+    changes sign.  The error of g, about
+    u (|log S(0)| + |log x| + |C| + R0 x / N) with u = 2^-53 and C the sum
+    above, divided by |g'(x)| = |R0/N - 1/x|, thus bounds the root's error:
+    6 to 18 ulp on the five bundled figures, which lie 0.3 to 14.4 ulp
+    from their 60-digit roots.  A root below the least positive double
+    comes back as a subnormal of a few ulps.
 
     Raises:
         TypeError: for any other incidence (the equation does not hold).

@@ -249,6 +249,40 @@ def test_bounds_inapplicable_cases(figures):
     b = final_size_bounds(EpidemicState(S=0.99, I=[0.01], R=0.0), params, inc)
     assert b.lower is None and b.upper is None
 
+    # no epidemic start, on either side of R0 = 1: with no infected S_inf =
+    # S(0), which N/R0 would miss, and the first-stage bound has no seed
+    params = StageParams(gamma=[0.5, 0.5], N=1.0)
+    for beta in (2.0, 0.2):
+        inc = ExponentialIncidence([beta, beta], N=1.0)
+        for initial in (EpidemicState(S=1.0, I=[0.0, 0.0], R=0.0),
+                        EpidemicState(S=0.0, I=[0.5, 0.5], R=0.0)):
+            b = final_size_bounds(initial, params, inc)
+            assert (b.lower, b.upper) == (None, None)
+            assert b.lower_reason == b.upper_reason == "requires S(0) > 0 and I(0) != 0"
+
+
+def test_final_size_root_lies_within_its_stated_error(figures):
+    # the bisection ends on adjacent doubles of the computed g, so the root
+    # is off by about the error of g over |g'|; measured against the root
+    # of the same equation at 60 digits
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0 ** -53
+    for label, sc in figures.items():
+        params, inc, initial = sc.params, sc.incidence, sc.initial
+        x = final_size_equation_solve(initial, params, inc).s_inf
+        with mpmath.workdps(60):
+            S0, N = mpmath.mpf(initial.S), mpmath.mpf(params.N)
+            w = [mpmath.mpf(r) / mpmath.mpf(g) for r, g in zip(inc.r, params.gamma)]
+            seeded = itertools.accumulate(mpmath.mpf(i) for i in initial.I)
+            C = sum(wj * (S0 + cj) for wj, cj in zip(w, seeded))
+            R0 = N * sum(w)
+            root = mpmath.findroot(lambda y: mpmath.log(S0 / y) - C + R0 * y / N, x)
+            error = float(abs(x - root))
+            slope = abs(float(R0 / N - 1 / root))
+        stated = u * (abs(math.log(initial.S)) + abs(math.log(x)) + abs(float(C))
+                      + float(R0) * x / params.N) / slope
+        assert error <= stated, (label, error / math.ulp(x), stated / math.ulp(x))
+
 
 def test_lower_bound_degenerates_to_S0_when_transmission_vanishes():
     N = 1.0

@@ -194,6 +194,8 @@ R = 0.0
 """, encoding="utf-8")
     rep = _analyze_dict(capsys, "--scenario", str(scenario))
     assert rep["S_inf_equation"] == "n/a (initial state must have S(0) > 0 and I(0) != 0)"
+    # S stays at S(0): a threshold bound would bound nothing, or miss it
+    assert rep["upper_bound"] == rep["lower_bound"] == "n/a (requires S(0) > 0 and I(0) != 0)"
 
 
 def test_analyze_threshold_sir(tmp_path, capsys):

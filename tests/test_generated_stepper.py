@@ -1,5 +1,5 @@
 """The generated steppers: one per key, none at import, and bitwise equal to
-the two-pass reference on both sides of each unroll limit."""
+the two-pass reference on both sides of each 1024-term split of a sum."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from spepi.cli import main
 
 from test_stepping_properties import _gamma, _hex, _initial, _inner, _model, _reference_run
 
-U = kernels.UNROLL_STAGES
 INNER_KINDS = ("linear", "exponential", "split-exponential", "custom")
 
 
@@ -50,12 +49,12 @@ def test_importing_spepi_generates_nothing():
     assert out.split() == ["0"]
 
 
-def _check_against_reference(inc, rng, n, N, generated):
+def _check_against_reference(inc, rng, n, N, generated, steps=300):
     params = StageParams(gamma=_gamma(rng, n, "mixed"), N=N)
     initial = _initial(rng, n, N)
-    stopping = StoppingRule(max_steps=300, eps_z=0.0, eps_s=0.0)
+    stopping = StoppingRule(max_steps=steps, eps_z=0.0, eps_s=0.0)
     traj = simulate(initial, params, inc, stopping)
-    rows, reason = _reference_run(initial, params, inc, 300, 0.0, 0.0)
+    rows, reason = _reference_run(initial, params, inc, steps, 0.0, 0.0)
     assert traj.stop_reason == reason
     S, I, R, phi, Z = zip(*rows)
     assert _hex(traj.S) == _hex(S)
@@ -66,34 +65,56 @@ def _check_against_reference(inc, rng, n, N, generated):
     return [key for key in generated if key[0] not in ("inner", "outer")]
 
 
-@pytest.mark.parametrize("n", [U, U + 1], ids=["unrolled", "loop"])
-@pytest.mark.parametrize("encoding", [f"{inner}{outer}" for inner in INNER_KINDS
-                                      for outer in ("", "/explicit", "/poisson")])
-def test_stepper_matches_the_reference_at_the_unroll_limit(encoding, n, generated):
+def _want(inc, n):
+    """The recording stepper's key for ``inc`` over n stages."""
+    spec = inc.kernel_spec()
+    if spec is None:  # a custom model calls phi_fn from the stepper
+        return (n, None, 0, None, True)
+    ik, _, _, ok, op = spec
+    return (n, ik, ok, len(op) if ok else None, True)
+
+
+# the stage sums split every 1024 terms: one line, two lines, three lines (a
+# contact law adds lines per table entry, none to a sum over the stages)
+@pytest.mark.parametrize("n, encoding, steps", [
+    *((n, f"{inner}{outer}", 300) for n in (1024, 1025) for inner in INNER_KINDS
+      for outer in ("", "/explicit", "/poisson")),
+    *((2049, inner, 40) for inner in INNER_KINDS)])
+def test_stepper_matches_the_reference_at_the_sum_splits(encoding, n, steps, generated):
     rng = np.random.default_rng([n, len(encoding)])
     N = 2.0
     inc = _model(encoding, rng, n, N)
-    spec = inc.kernel_spec()
-    steppers = _check_against_reference(inc, rng, n, N, generated)
-    if spec is None:  # a custom model calls phi_fn from the stepper
-        want = (n if n == U else None, None, 0, None, True)
-    else:
-        ik, _, _, ok, op = spec
-        want = (n if n == U else None, ik, ok, len(op) if ok else None, True)
-    assert steppers == [want]
+    assert _check_against_reference(inc, rng, n, N, generated, steps) == [_want(inc, n)]
 
 
-@pytest.mark.parametrize("K", [kernels.UNROLL_TABLE, kernels.UNROLL_TABLE + 1],
-                         ids=["unrolled", "loop"])
+def test_stepper_compiles_and_matches_the_reference_at_3000_stages(generated):
+    # past the length at which CPython 3.11 stopped compiling an unsplit sum
+    rng = np.random.default_rng(3000)
+    n, N = 3000, 2.0
+    inc = _model("exponential", rng, n, N)
+    assert _check_against_reference(inc, rng, n, N, generated, steps=20) == [_want(inc, n)]
+
+
+@pytest.mark.parametrize("K", [64, 65])
 @pytest.mark.parametrize("inner", INNER_KINDS)
 def test_stepper_matches_the_reference_on_long_contact_tables(inner, K, generated):
     rng = np.random.default_rng([K, len(inner)])
     n, N = 3, 2.0
     inc = compose_incidence(_inner(inner, rng, n, N),
                             ContactDistribution.explicit(rng.dirichlet(np.ones(K))))
-    steppers = _check_against_reference(inc, rng, n, N, generated)
-    if inner == "custom":
-        assert steppers == [(n, None, 0, None, True)]
-    else:
-        assert steppers == [(n, inc.kernel_spec()[0], 1, K if K == kernels.UNROLL_TABLE else None,
-                             True)]
+    assert _check_against_reference(inc, rng, n, N, generated) == [_want(inc, n)]
+
+
+def test_phi_fn_receives_a_tuple_of_the_stages():
+    # a snapshot the callable cannot change, at any n
+    n, rows = 1025, 3
+    seen = []
+
+    def phi_fn(I):
+        seen.append((type(I), len(I)))
+        return 0.0
+
+    kernels.run_chunk(1.0, [1e-3] * n, 0.0, -1.0, [0.5] * n, 0, [], [], 0, [], 0.0, 0.0,
+                      [0.0] * rows, [0.0] * (rows * n), [0.0] * rows, [0.0] * rows,
+                      [0.0] * rows, phi_fn)
+    assert seen == [(tuple, n)] * rows

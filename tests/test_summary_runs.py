@@ -43,8 +43,6 @@ from test_stepping_properties import (
     _reference_run,
 )
 
-U = kernels.UNROLL_STAGES
-
 
 def _check_summary(initial, params, inc, stopping):
     """Assert that the summary run matches the full run; return the latter."""
@@ -64,14 +62,16 @@ def _check_summary(initial, params, inc, stopping):
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([1, 2, 3, 5, 8, U, U + 1]),
-    K=st.sampled_from([None, kernels.UNROLL_TABLE, kernels.UNROLL_TABLE + 1]),
+    n=st.sampled_from([1, 2, 3, 5, 8]),
+    K=st.sampled_from([None, 64, 65]),
     eps=st.sampled_from(["default", "zero", "loose"]),
     max_steps=st.one_of(st.integers(1, 60), st.just(3000)),
 )
-# both sides of each unroll limit, converged and stopped at max_steps
-@example(seed=1, n=U, K=kernels.UNROLL_TABLE, eps="loose", max_steps=60)
-@example(seed=2, n=U + 1, K=kernels.UNROLL_TABLE + 1, eps="zero", max_steps=9)
+# a stage sum on one line and split in two (every 1024 terms; three lines in
+# the tie test), tables of 64 and 65 entries, converged and stopped at
+# max_steps; wide n only here, as each new n costs two compiles per encoding
+@example(seed=1, n=1024, K=64, eps="loose", max_steps=60)
+@example(seed=2, n=1025, K=65, eps="zero", max_steps=9)
 @example(seed=3, n=3, K=None, eps="loose", max_steps=3000)
 def test_summary_run_matches_the_full_run(encoding, seed, n, K, eps, max_steps):
     if n > 8:
@@ -82,7 +82,7 @@ def test_summary_run_matches_the_full_run(encoding, seed, n, K, eps, max_steps):
     N = float(10.0 ** rng.uniform(-1.0, 2.0))
     params = StageParams(gamma=_gamma(rng, n, "mixed"), N=N)
     inner, _, outer = encoding.partition("/")
-    if outer == "explicit" and K is not None:  # a table at or past UNROLL_TABLE
+    if outer == "explicit" and K is not None:  # a table of 64 or 65 entries
         inc = compose_incidence(_inner(inner, rng, n, N),
                                 ContactDistribution.explicit(rng.dirichlet(np.ones(K))))
     else:
@@ -115,7 +115,7 @@ def test_onset_on_either_side_of_a_block_edge(monkeypatch, figures, stopping):
                                         else "converged")
 
 
-@pytest.mark.parametrize("n", [2, U + 1], ids=["unrolled", "loop"])
+@pytest.mark.parametrize("n", [2, 2049])
 def test_a_tie_is_not_a_decrease(n):
     # with gamma = 1/2 and equal stages, 0.5 * x + 0.5 * x == x: every stage
     # past the first keeps its value exactly until the first one's fall
@@ -219,7 +219,7 @@ def test_a_failing_summary_block_is_stepped_again_with_its_stages(monkeypatch, f
 def test_summary_memory_grows_with_steps_not_stages():
     # n = 200 over 50,000 steps: the stage rows alone would take 80 MB, Z
     # takes 0.4 MB.  Peak RSS of a fresh process is read around the run
-    # (tracemalloc makes the unrolled 200-stage stepper thousands of times
+    # (tracemalloc makes the written-out 200-stage stepper thousands of times
     # slower: each allocation it traces looks up its line in that function)
     code = textwrap.dedent("""
         import resource
